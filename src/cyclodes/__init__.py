@@ -11,7 +11,8 @@ from .adsets import (CharacteristicSet, DifferenceSpectrum, SetClassification,
 from .cyclotomy import (CaseClassification, CyclotomicInteger12, CyclotomicNumberTable,
                         CyclotomicSystem, QuadraticPartition, build_classes,
                         c_parameter, classify_case, cyclotomic_numbers, jacobi_sum,
-                        m1_predicted, quadratic_partitions, reduce_hk, resolve_signs)
+                        m1_predicted, quadratic_partitions, reduce_hk, resolve_signs,
+                        stratum_spectrum)
 from .dhm import (Order4Recipe, Order12Recipe, build_order4, build_order12,
                   calibrate_order4, calibrate_order12, corollary_triples,
                   predicted_dI, predicted_dIJ, theorem12_pairs, theorem_parameters,

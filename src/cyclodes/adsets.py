@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cyclotomy import CyclotomicSystem
+from .cyclotomy import CyclotomicSystem, zero_term
 
 DEGENERATE_NOTE = "degenerate: empty or full set"
 
@@ -159,7 +159,5 @@ def delta_term(I, sys: CyclotomicSystem, w2: int) -> int:
         raise ValueError("delta term requires f odd")
     if w2 % sys.q == 0:
         raise ValueError("delta term requires w2 != 0")
-    d = sys.d
-    h = (-sys.klass(w2)) % d  # class of w2**-1
-    shifted = {(i + h) % d for i in I}
-    return (1 if 0 in shifted else 0) + (1 if d // 2 in shifted else 0)
+    h = (-sys.klass(w2)) % sys.d  # class of w2**-1
+    return zero_term(I, h, sys.d, sys.minus_one_class)

@@ -303,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True, choices=(4, 6, 8, 10, 12))
     sp.add_argument("--bound", type=int, required=True)
     sp.add_argument("--include-zero", action="store_true")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="worker processes (at least 1; capped at the CPU count)")
     sp.add_argument("--report-dir", default=".",
                     help="directory for family_report_d{d}.csv")
     common(sp)

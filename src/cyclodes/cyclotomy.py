@@ -109,6 +109,59 @@ def cyclotomic_numbers(sys: CyclotomicSystem) -> CyclotomicNumberTable:
 
 
 # ---------------------------------------------------------------------------
+# stratum spectrum: difference histograms from the table
+# ---------------------------------------------------------------------------
+
+def stratum_distance(table: CyclotomicNumberTable, I, J, h: int) -> int:
+    """d_{I,J}(w) = |(D_I + w) & D_J| for every w with w**-1 in D_h.
+
+    Multiplying by w**-1 is a bijection sending D_i + w to D_{i+h} + 1, so
+    the count is the class sum of (i+h, j+h)_d over i in I, j in J.
+    """
+    d, counts = table.d, table.counts
+    return sum(counts[(i + h) % d][(j + h) % d] for i in I for j in J)
+
+
+def zero_term(I, h: int, d: int, minus_one_class: int) -> int:
+    """|D_I & {w, -w}| for w**-1 in D_h: what adjoining (0,0) adds to d(w).
+
+    w lies in D_{-h} and -w in D_{minus_one_class - h}, so the count is
+    [-h in I] + [minus_one_class - h in I] (index sets taken mod d).
+    """
+    idx = {i % d for i in I}
+    return ((-h) % d in idx) + ((minus_one_class - h) % d in idx)
+
+
+def stratum_spectrum(table: CyclotomicNumberTable, I, J,
+                     include_zero: bool) -> dict[int, int]:
+    """Exact difference histogram of {0} x D_I u {1} x D_J in Z2 x Zq, with
+    (0,0) adjoined when include_zero is set, from the (m,n)_d table alone.
+
+    The difference function is constant on 2d + 1 strata: for each h in
+    [0, d) the f shifts (0, w) and the f shifts (1, w) with w**-1 in D_h,
+    plus the single shift (1, 0).  Works for any d | q-1.  Equals
+    adsets.distance_spectrum(...).histogram, the direct-count oracle.
+    """
+    q, d = table.q, table.d
+    f = (q - 1) // d
+    minus_one = (d * f // 2) % d
+    I = {i % d for i in I}
+    J = {j % d for j in J}
+    hist: dict[int, int] = {}
+    for h in range(d):
+        v0 = stratum_distance(table, I, I, h) + stratum_distance(table, J, J, h)
+        v1 = stratum_distance(table, I, J, h) + stratum_distance(table, J, I, h)
+        if include_zero:
+            v0 += zero_term(I, h, d, minus_one)
+            v1 += zero_term(J, h, d, minus_one)
+        hist[v0] = hist.get(v0, 0) + f
+        hist[v1] = hist.get(v1, 0) + f
+    v = 2 * f * len(I & J)
+    hist[v] = hist.get(v, 0) + 1
+    return hist
+
+
+# ---------------------------------------------------------------------------
 # table cache (optional optimization; recomputation gives identical bytes)
 # ---------------------------------------------------------------------------
 
@@ -570,16 +623,15 @@ def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition,
 _CAL_SET = frozenset({0, 1, 4, 5, 8, 9})
 
 
-def _restricted_distance_raw(q: int, members: frozenset[int], w: int) -> int:
-    return sum(1 for a in members if (a + w) % q in members)
-
-
 def resolve_signs(sys: CyclotomicSystem, part: QuadraticPartition) -> QuadraticPartition:
     """Pin the sign of y (and of B for case-1 systems) against exact counts.
 
-    y: the unique sign for which the translate-overlap of the class union
-    {0,1,4,5,8,9} equals (q - 2y - 3)/4 on every even-class shift (checked at
-    one shift, then the uniqueness guard below).  Exactly one sign may fit.
+    Both fits read the one exhaustive (m,n)_12 table of sys, built once here.
+
+    y: the unique sign for which the translate-overlap d_{I,I}(w) of the
+    class union I = {0,1,4,5,8,9} equals (q - 2y - 3)/4 on every even-class
+    shift w.  The overlap is constant on each stratum (w**-1 in D_h, h even)
+    and is read off the table by stratum_distance.  Exactly one sign may fit.
 
     B: for case-1 systems, the unique sign making the full 31-row coefficient
     matrix reproduce the exhaustive table.  Left unresolved otherwise.
@@ -589,9 +641,8 @@ def resolve_signs(sys: CyclotomicSystem, part: QuadraticPartition) -> QuadraticP
     if sys.f % 2 == 0:
         raise ValueError("sign resolution requires f odd")
     q = sys.q
-    members = sys.union(_CAL_SET)
-    even_w = [a for a in range(1, q) if sys.class_of[a] % 2 == 0]
-    d_vals = {_restricted_distance_raw(q, members, w) for w in even_w}
+    table = cyclotomic_numbers(sys)
+    d_vals = {stratum_distance(table, _CAL_SET, _CAL_SET, h) for h in range(0, 12, 2)}
     fits = [y for y in sorted({part.y_abs, -part.y_abs}, reverse=True)
             if d_vals == {(q - 2 * y - 3) // 4} and (q - 2 * y - 3) % 4 == 0]
     if len(fits) != 1:
@@ -601,7 +652,6 @@ def resolve_signs(sys: CyclotomicSystem, part: QuadraticPartition) -> QuadraticP
 
     case = classify_case(sys)
     if case.case_number == 1:
-        table = cyclotomic_numbers(sys)
         actual = brute_force_canonical(table)
         good = []
         for b in sorted({part.B_abs, -part.B_abs}, reverse=True):

@@ -16,6 +16,10 @@ parameters are *outputs* of calibration against exact counts (never inputs),
 keeping every verification non-circular:
   * y via the translate-overlap pattern of {0,1,4,5,8,9} (cyclotomy.resolve_signs),
   * t via which order-4 condition list the exhaustive triple search returns.
+Both read the cyclotomic-number table, itself one exhaustive counting pass
+over GF(q)*, through cyclotomy.stratum_spectrum and stratum_distance; no
+closed form enters a calibration.  verify_family then classifies every recipe
+by direct pair counting (adsets.distance_spectrum), the independent oracle.
 
 Closed-form branch convention: the restricted distances d_I(w), d_{I,J}(w)
 are piecewise constant on cyclotomic classes, with branches indexed by the
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 from . import cyclotomy
-from .adsets import CharacteristicSet, classify, distance_spectrum
+from .adsets import CharacteristicSet, DifferenceSpectrum, classify, distance_spectrum
 from .cyclotomy import CyclotomicSystem, QuadraticPartition
 
 # ---------------------------------------------------------------------------
@@ -295,12 +299,6 @@ def predicted_dIJ(sys_or_q, I: frozenset[int], J: frozenset[int],
     return func(q, part.x, part.y_signed, (h + t) % 12)
 
 
-def _delta(I: frozenset[int], h: int) -> int:
-    # |D_I & {w2, -w2}| with h the class of w2**-1 (f odd, so -1 has class 6)
-    shifted = {(i + h) % 12 for i in I}
-    return (1 if 0 in shifted else 0) + (1 if 6 in shifted else 0)
-
-
 def predicted_spectrum(q: int, part: QuadraticPartition, I: frozenset[int],
                        J: frozenset[int], include_zero: bool) -> dict[int, int]:
     """Predicted difference histogram of the (I, J) construction, stratum by
@@ -318,9 +316,9 @@ def predicted_spectrum(q: int, part: QuadraticPartition, I: frozenset[int],
         v0 = predicted_dI(q, I, u, part) + predicted_dI(q, J, u, part)
         v1 = func_ij(q, part.x, part.y_signed, (h + t_ij) % 12) + \
             func_ji(q, part.x, part.y_signed, (h + t_ji) % 12)
-        if include_zero:
-            v0 += _delta(I, h)
-            v1 += _delta(J, h)
+        if include_zero:  # f odd, so -1 lies in class 6
+            v0 += cyclotomy.zero_term(I, h, 12, 6)
+            v1 += cyclotomy.zero_term(J, h, 12, 6)
         hist[v0] = hist.get(v0, 0) + f
         hist[v1] = hist.get(v1, 0) + f
     v = 2 * f * len(I & J)
@@ -374,13 +372,21 @@ class Order4Calibration:
 
 def order4_hit_triples(sys: CyclotomicSystem, include_zero: bool) -> list[tuple[int, int, int]]:
     """All ordered distinct triples whose construction reaches the target
-    parameters, by exhaustive direct spectra."""
-    target = theorem_parameters(sys.q, include_zero)
+    parameters.  Triple (i, j, l) is the pair I = {i, j}, J = {l, j}; its
+    spectrum is read off the exhaustive (m,n)_4 table by
+    cyclotomy.stratum_spectrum, one table per call."""
+    if sys.d != 4:
+        raise ValueError("order-4 triples need an order-4 system")
+    if sys.q % 8 != 5:
+        raise ValueError(f"q={sys.q} is not 5 mod 8")
+    q = sys.q
+    target = theorem_parameters(q, include_zero)
+    table = cyclotomy.cyclotomic_numbers(sys)
     hits = []
     for (i, j, l) in permutations(range(4), 3):
-        cset = build_order4(sys, Order4Recipe(i, j, l, include_zero))
-        cls = classify(distance_spectrum(cset))
-        if cls.parameters == target:
+        hist = cyclotomy.stratum_spectrum(table, {i, j}, {l, j}, include_zero)
+        spec = DifferenceSpectrum(n=2 * q, k=4 * sys.f + include_zero, histogram=hist)
+        if classify(spec).parameters == target:
             hits.append((i, j, l))
     return hits
 

@@ -26,7 +26,7 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -156,7 +156,7 @@ def exhaustive_search_direct(q: int, d: int, include_zero: bool) -> list[SearchH
 
 def order4_triple_search(q: int, include_zero: bool) -> list[tuple[int, int, int]]:
     """All ordered distinct (i, j, l) reaching the target parameters, by
-    direct spectra (q = 5 mod 8)."""
+    table-derived spectra (q = 5 mod 8; see dhm.order4_hit_triples)."""
     if q % 8 != 5:
         raise ValueError(f"q={q} is not 5 mod 8")
     sys = cyclotomy.build_classes(q, 4)
@@ -177,13 +177,24 @@ def _search_one(args) -> list[SearchHit]:
     return exhaustive_search(q, d, include_zero)
 
 
+def resolve_workers(workers: int) -> int:
+    """Worker processes actually used: at least 1 is required, and requests
+    beyond os.cpu_count() are capped there."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def exhaustive_search_many(primes, d: int, include_zero: bool,
                            workers: int = 1) -> list[SearchHit]:
     """Search several primes; identical results at any worker count."""
+    workers = resolve_workers(workers)
     jobs = [(q, d, include_zero) for q in sorted(primes)]
-    if workers <= 1:
+    if workers == 1:
         chunks = [_search_one(j) for j in jobs]
     else:
+        # imported here so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_search_one, jobs))
     hits = [h for chunk in chunks for h in chunk]

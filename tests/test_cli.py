@@ -107,6 +107,26 @@ def test_search_determinism_across_workers(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_search_rejects_workers_below_one(tmp_path, capsys):
+    for workers in ("0", "-4"):
+        code, out, err = run(capsys, "search", "--d", "4", "--bound", "30",
+                             "--workers", workers, "--report-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert f"workers must be at least 1, got {workers}" in err
+    assert not (tmp_path / "family_report_d4.csv").exists()
+
+
+def test_serial_cli_does_not_load_process_pool():
+    import subprocess
+    import sys
+    probe = ("import sys, cyclodes.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env={"PYTHONPATH": ":".join(sys.path)})
+    assert done.stdout.strip() == "[]"
+
+
 def test_sequence_q13(capsys):
     code, out, _ = run(capsys, "sequence", "--q", "13", "--order", "12",
                        "--recipe", "A,E")

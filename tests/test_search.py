@@ -140,6 +140,33 @@ def test_hit_json_round_trip():
     assert obj["q"] == 37 and obj["d"] == 12 and obj["k"] == 36
 
 
+def test_resolve_workers_caps_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    assert search.resolve_workers(1) == 1
+    assert search.resolve_workers(2) == 2
+    assert search.resolve_workers(10**9) == 2
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert search.resolve_workers(64) == 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            search.resolve_workers(bad)
+
+
+def test_capped_worker_count_runs_serially(monkeypatch):
+    # with one CPU any request resolves to the serial path; the stub makes
+    # building a pool fail instead of spawning processes
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    primes = search.search_primes(4, 60)
+    assert search.exhaustive_search_many(primes, 4, False, workers=8) == \
+        search.exhaustive_search_many(primes, 4, False, workers=1)
+
+
 def test_parallel_search_determinism():
     primes = search.search_primes(4, 120)
     solo = search.exhaustive_search_many(primes, 4, False, workers=1)

@@ -1,0 +1,120 @@
+"""Differential tests of the table-derived stratum spectrum against direct
+pair counting, the order-12 sweep and the y-sign calibration."""
+
+from functools import lru_cache
+from itertools import permutations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cyclodes import cyclotomy, dhm, ff, search
+from cyclodes.adsets import CharacteristicSet, DifferenceSpectrum, classify, distance_spectrum
+
+PRIMES = [q for q in range(3, 400) if ff.is_prime(q)]
+SWEEP_PRIMES = (13, 37, 229)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@lru_cache(maxsize=None)
+def classes(q, d):
+    return cyclotomy.build_classes(q, d)
+
+
+@lru_cache(maxsize=None)
+def table(q, d):
+    return cyclotomy.cyclotomic_numbers(classes(q, d))
+
+
+@st.composite
+def constructions(draw):
+    q = draw(st.sampled_from(PRIMES))
+    d = draw(st.sampled_from([d for d in range(1, q) if (q - 1) % d == 0]))
+    index_sets = st.frozensets(st.integers(0, d - 1))
+    return q, d, draw(index_sets), draw(index_sets), draw(st.booleans())
+
+
+def counted_histogram(q, d, I, J, include_zero):
+    sys = classes(q, d)
+    part0 = sys.union(I) | ({0} if include_zero else set())
+    return distance_spectrum(CharacteristicSet(q=q, part0=part0, part1=sys.union(J))).histogram
+
+
+@PROPERTY
+@given(constructions())
+@example((29, 4, frozenset({0, 1}), frozenset({1, 3}), True))      # f = 7 odd
+@example((17, 4, frozenset({0, 1}), frozenset({1, 3}), True))      # f = 4 even
+@example((41, 8, frozenset({1, 2, 5}), frozenset(), True))         # f = 5, J empty
+@example((13, 1, frozenset({0}), frozenset({0}), False))           # whole group
+@example((13, 12, frozenset(), frozenset(), True))                 # only (0,0)
+def test_stratum_spectrum_equals_counted(case):
+    q, d, I, J, include_zero = case
+    assert cyclotomy.stratum_spectrum(table(q, d), I, J, include_zero) == \
+        counted_histogram(q, d, I, J, include_zero)
+
+
+@lru_cache(maxsize=None)
+def sweep_hits(q, include_zero):
+    return {(h.I, h.J) for h in search.exhaustive_search(q, 12, include_zero)}
+
+
+six_sets = st.lists(st.integers(0, 11), min_size=6, max_size=6, unique=True).map(
+    lambda s: tuple(sorted(s)))
+
+
+@st.composite
+def sweep_pairs(draw):
+    q = draw(st.sampled_from(SWEEP_PRIMES))
+    include_zero = draw(st.booleans())
+    hits = sorted(sweep_hits(q, include_zero))
+    if hits and draw(st.booleans()):
+        I, J = draw(st.sampled_from(hits))
+    else:
+        I, J = draw(six_sets), draw(six_sets)
+    return q, include_zero, I, J
+
+
+@PROPERTY
+@given(sweep_pairs())
+def test_sweep_decision_equals_stratum_classification(case):
+    q, include_zero, I, J = case
+    hist = cyclotomy.stratum_spectrum(table(q, 12), I, J, include_zero)
+    spec = DifferenceSpectrum(n=2 * q, k=q - 1 + include_zero, histogram=hist)
+    is_hit = classify(spec).parameters == dhm.theorem_parameters(q, include_zero)
+    assert is_hit == ((I, J) in sweep_hits(q, include_zero))
+
+
+def test_sweep_pairs_reach_hits():
+    assert all(sweep_hits(q, z) for q in SWEEP_PRIMES for z in (False, True))
+
+
+def direct_y_sign(sys, y_abs):
+    """Oracle: count the translate overlap of D_{0,1,4,5,8,9} at every
+    even-class shift and fit (q - 2y - 3)/4."""
+    q = sys.q
+    members = sys.union({0, 1, 4, 5, 8, 9})
+    overlaps = {sum(1 for a in members if (a + w) % q in members)
+                for w in range(1, q) if sys.class_of[w] % 2 == 0}
+    fits = [y for y in {y_abs, -y_abs}
+            if (q - 2 * y - 3) % 4 == 0 and overlaps == {(q - 2 * y - 3) // 4}]
+    assert len(fits) == 1, (q, overlaps)
+    return fits[0]
+
+
+def test_resolve_signs_matches_direct_overlap_count():
+    primes = [q for q in range(13, 1000) if q % 24 == 13 and ff.is_prime(q)]
+    assert len(primes) == 22
+    for q in primes:
+        sys = classes(q, 12)
+        part = cyclotomy.resolve_signs(sys, cyclotomy.quadratic_partitions(q))
+        assert part.y_signed == direct_y_sign(sys, part.y_abs), q
+
+
+def test_order4_hits_match_direct_spectra():
+    for q in (13, 29, 37, 53, 61, 101):
+        sys = classes(q, 4)
+        for include_zero in (False, True):
+            target = dhm.theorem_parameters(q, include_zero)
+            direct = [t for t in permutations(range(4), 3)
+                      if classify(distance_spectrum(dhm.build_order4(
+                          sys, dhm.Order4Recipe(*t, include_zero)))).parameters == target]
+            assert dhm.order4_hit_triples(sys, include_zero) == direct
