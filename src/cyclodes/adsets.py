@@ -149,14 +149,12 @@ def restricted_distance(set_a: frozenset[int], set_b: frozenset[int],
 
 
 def delta_term(I, sys: CyclotomicSystem, w2: int) -> int:
-    """|D_I & {w2, -w2}| via the class-shift rule (order 12, f odd).
+    """|D_I & {w2, -w2}| via the class-shift rule, for any order d | q-1.
 
     With h the class of w2**-1, multiplying by w2**-1 turns the question into
-    membership of 1 and -1 in D_{I+h}; since f is odd, -1 sits in class d/2,
-    so the count is [0 in I+h] + [d/2 in I+h].
+    membership of 1 and -1 in D_{I+h}; with m = sys.minus_one_class (d/2 for
+    f odd, 0 for f even) the count is [0 in I+h] + [m in I+h].
     """
-    if sys.f % 2 == 0:
-        raise ValueError("delta term requires f odd")
     if w2 % sys.q == 0:
         raise ValueError("delta term requires w2 != 0")
     h = (-sys.klass(w2)) % sys.d  # class of w2**-1

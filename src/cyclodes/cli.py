@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,13 +34,6 @@ def _out(args, text: str) -> None:
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _cache_dir(args):
-    cache = getattr(args, "seed_cache", None) or os.environ.get("CYCLODES_CACHE")
-    if cache:
-        Path(cache).mkdir(parents=True, exist_ok=True)
-    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +66,7 @@ def cmd_classes(args) -> int:
 
 def cmd_cycnums(args) -> int:
     sys_ = cyclotomy.build_classes(args.q, args.d)
-    table = cyclotomy.cyclotomic_numbers_cached(sys_, _cache_dir(args))
+    table = cyclotomy.cyclotomic_numbers(sys_)
     failures = []
 
     total_ok = table.total() == args.q - 2
@@ -267,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
                                             "verify, search, and emit sequences")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def output(sp):
+        sp.add_argument("--output", help="write data to this file instead of stdout")
+
     def common(sp):
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        sp.add_argument("--output", help="write data to this file instead of stdout")
-        sp.add_argument("--seed-cache", dest="seed_cache",
-                        help="directory for cyclotomic table cache "
-                             "(or env CYCLODES_CACHE)")
+        output(sp)
 
     sp = sub.add_parser("classes", help="cyclotomic classes of order d")
     sp.add_argument("--q", type=int, required=True)
@@ -307,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker processes (at least 1; capped at the CPU count)")
     sp.add_argument("--report-dir", default=".",
                     help="directory for family_report_d{d}.csv")
-    common(sp)
+    output(sp)  # hits are always JSONL
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("sequence", help="sequence + autocorrelation of a recipe")

@@ -13,17 +13,17 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
     exactly on the integral basis {1, beta, beta**2, beta**3} with
     beta**4 = beta**2 - 1.  No floating point anywhere.
   * For q = 12f + 1 the splitting parameters are the quadratic partitions
-    q = x**2 + 4*y**2 = A**2 + 3*B**2 with x = 1 (mod 4), A = 1 (mod 6); for
-    q = 5 (mod 8) additionally q = s**2 + 4*t**2 with s = 1 (mod 4).  The
-    congruences fix x, A, s; the signs of y, B, t are normalization-dependent
-    and are resolved operationally (see resolve_signs and dhm.calibrate).
+    q = x**2 + 4*y**2 = A**2 + 3*B**2 with x = 1 (mod 4), A = 1 (mod 6).  The
+    order-4 parameters s, |t| of q = s**2 + 4*t**2 (q = 5 mod 8) solve the
+    same equation, so they are x, |y|.  The congruences fix x and A; the
+    signs of y, B and t are normalization-dependent and are resolved
+    operationally (see resolve_signs and dhm.calibrate_order4).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from .ff import IndexTable, build_index_table, check_prime_modulus, find_primitive_root
 
@@ -108,6 +108,14 @@ def cyclotomic_numbers(sys: CyclotomicSystem) -> CyclotomicNumberTable:
     return CyclotomicNumberTable(q=q, d=d, counts=tuple(map(tuple, counts)))
 
 
+def table_to_csv(table: CyclotomicNumberTable) -> str:
+    lines = ["m,n,count"]
+    for m in range(table.d):
+        for n in range(table.d):
+            lines.append(f"{m},{n},{table.counts[m][n]}")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # stratum spectrum: difference histograms from the table
 # ---------------------------------------------------------------------------
@@ -162,54 +170,6 @@ def stratum_spectrum(table: CyclotomicNumberTable, I, J,
 
 
 # ---------------------------------------------------------------------------
-# table cache (optional optimization; recomputation gives identical bytes)
-# ---------------------------------------------------------------------------
-
-def cache_filename(q: int, d: int, g: int) -> str:
-    return f"cyc_q{q}_d{d}_g{g}.csv"
-
-
-def table_to_csv(table: CyclotomicNumberTable) -> str:
-    lines = ["m,n,count"]
-    for m in range(table.d):
-        for n in range(table.d):
-            lines.append(f"{m},{n},{table.counts[m][n]}")
-    return "\n".join(lines) + "\n"
-
-
-def save_table(table: CyclotomicNumberTable, sys: CyclotomicSystem, cache_dir) -> Path:
-    path = Path(cache_dir) / cache_filename(sys.q, sys.d, sys.g)
-    path.write_text(table_to_csv(table))
-    return path
-
-
-def load_table(q: int, d: int, g: int, cache_dir) -> CyclotomicNumberTable | None:
-    path = Path(cache_dir) / cache_filename(q, d, g)
-    if not path.exists():
-        return None
-    counts = [[0] * d for _ in range(d)]
-    lines = path.read_text().strip().splitlines()
-    if lines[0] != "m,n,count":
-        raise ValueError(f"bad cache header in {path}")
-    for line in lines[1:]:
-        m, n, c = map(int, line.split(","))
-        counts[m][n] = c
-    return CyclotomicNumberTable(q=q, d=d, counts=tuple(map(tuple, counts)))
-
-
-def cyclotomic_numbers_cached(sys: CyclotomicSystem, cache_dir=None) -> CyclotomicNumberTable:
-    """Table via cache when available; correctness never depends on the cache."""
-    if cache_dir is not None:
-        cached = load_table(sys.q, sys.d, sys.g, cache_dir)
-        if cached is not None:
-            return cached
-    table = cyclotomic_numbers(sys)
-    if cache_dir is not None:
-        save_table(table, sys, cache_dir)
-    return table
-
-
-# ---------------------------------------------------------------------------
 # quadratic partitions
 # ---------------------------------------------------------------------------
 
@@ -219,10 +179,12 @@ class QuadraticPartition:
 
     q = x**2 + 4*y_abs**2   with x = 1 (mod 4)          (requires q = 1 mod 4)
     q = A**2 + 3*B_abs**2   with A = 1 (mod 6)          (requires q = 1 mod 3)
-    q = s**2 + 4*t_abs**2   with s = 1 (mod 4)          (only when q = 5 mod 8)
 
-    y_signed / B_signed / t_signed stay None until calibrated against exact
-    counts; B_signed is resolvable only for case-1 systems.
+    The order-4 parameters s, |t| (q = s**2 + 4*t**2, s = 1 mod 4) are x and
+    y_abs by uniqueness.  y_signed / B_signed / t_signed stay None until
+    calibrated against exact counts; B_signed is resolvable only for case-1
+    systems.  t_signed is fitted by the order-4 triple search, a calibration
+    separate from the one for y_signed.
     """
 
     q: int
@@ -230,8 +192,6 @@ class QuadraticPartition:
     y_abs: int | None = None
     A: int | None = None
     B_abs: int | None = None
-    s: int | None = None
-    t_abs: int | None = None
     y_signed: int | None = None
     B_signed: int | None = None
     t_signed: int | None = None
@@ -267,9 +227,6 @@ def quadratic_partitions(q: int) -> QuadraticPartition:
         if ab is None:
             raise ArithmeticError(f"no A,B partition for q={q}")
         part = replace(part, A=ab[0], B_abs=ab[1])
-    if q % 8 == 5:
-        st = _two_square_partition(q, 4, 1, 4)
-        part = replace(part, s=st[0], t_abs=st[1])
     return part
 
 

@@ -5,13 +5,14 @@ closed-form predicted spectra, and calibration of the sign conventions.
 Order 4 (q = 5 mod 8, so f odd): recipes are triples (i, j, l) of distinct
 class indices with part0 = D_i u D_j and part1 = D_l u D_j; the sufficient
 conditions are three fixed 8-triple lists gated on t = 1, t = -1, or s = 1
-(q = s**2 + 4t**2, s = 1 mod 4).
+(q = s**2 + 4t**2, s = 1 mod 4).  That is the equation of the order-12
+partition below, so the paper's s and |t| are x and |y| (part.x, part.y_abs).
 
 Order 12 (q = 12f + 1, f odd): recipes are pairs (I, J) of 6-element index
 sets drawn from six named patterns; the sufficient conditions are families
 gated on x = 1 or y = +-1 (q = x**2 + 4y**2, x = 1 mod 4).
 
-Sign conventions: the congruences pin x, A, s but not y, B, t.  All signed
+Sign conventions: the congruences pin x and A but not y, B, t.  All signed
 parameters are *outputs* of calibration against exact counts (never inputs),
 keeping every verification non-circular:
   * y via the translate-overlap pattern of {0,1,4,5,8,9} (cyclotomy.resolve_signs),
@@ -196,37 +197,21 @@ def _dI_table(I: frozenset[int], q: int, y: int) -> tuple[int, int]:
     raise ValueError("index set outside the closed-form families")
 
 
-def predicted_dI(sys_or_q, I: frozenset[int], w_class_or_w: int,
+def predicted_dI(sys: CyclotomicSystem, I: frozenset[int], w: int,
                  part: QuadraticPartition) -> int:
-    """Closed-form d_I(w) for the six named patterns; needs y_signed.
-
-    Accepts either a CyclotomicSystem plus an element w, or a prime q plus
-    w's class index directly.
-    """
+    """Closed-form d_I(w) for the six named patterns; needs y_signed."""
     if part.y_signed is None:
         raise ValueError("predicted_dI needs a calibrated y sign")
-    if isinstance(sys_or_q, CyclotomicSystem):
-        q = sys_or_q.q
-        u = sys_or_q.klass(w_class_or_w)
-    else:
-        q, u = sys_or_q, w_class_or_w
-    even_val, odd_val = _dI_table(I, q, part.y_signed)
-    return even_val if u % 2 == 0 else odd_val
+    return _dI_table(I, sys.q, part.y_signed)[sys.klass(w) % 2]
 
 
-def _l4_IJ(q, x, y, e):
+def _l4(q, x, y, e):
     if e % 2 == 0:
         return (q + x - 2) // 4
     return (q - x - 4) // 4 if e in _ODD1 else (q - x) // 4
 
 
-def _l4_JI(q, x, y, e):
-    if e % 2 == 0:
-        return (q + x - 2) // 4
-    return (q - x - 4) // 4 if e in _ODD2 else (q - x) // 4
-
-
-def _l5_IJ(q, x, y, e):
+def _l5(q, x, y, e):
     if e in _EVEN1:
         return (q - x - 2 * y - 2) // 4
     if e in _EVEN2:
@@ -234,15 +219,7 @@ def _l5_IJ(q, x, y, e):
     return (q + x - 2 * y) // 4 if e in _ODD1 else (q - x + 2 * y - 2) // 4
 
 
-def _l5_JI(q, x, y, e):
-    if e in _EVEN2:
-        return (q - x - 2 * y - 2) // 4
-    if e in _EVEN1:
-        return (q + x + 2 * y - 4) // 4
-    return (q + x - 2 * y) // 4 if e in _ODD2 else (q - x + 2 * y - 2) // 4
-
-
-def _l6_IJ(q, x, y, e):
+def _l6(q, x, y, e):
     if e in _EVEN1:
         return (q - x + 2 * y - 2) // 4
     if e in _EVEN2:
@@ -250,18 +227,10 @@ def _l6_IJ(q, x, y, e):
     return (q + x + 2 * y) // 4 if e in _ODD2 else (q - x - 2 * y - 2) // 4
 
 
-def _l6_JI(q, x, y, e):
-    if e in _EVEN2:
-        return (q - x + 2 * y - 2) // 4
-    if e in _EVEN1:
-        return (q + x - 2 * y - 4) // 4
-    return (q + x + 2 * y) // 4 if e in _ODD1 else (q - x - 2 * y - 2) // 4
-
-
 _CROSS_REPS = (
-    ((SET_A, SET_C), _l4_IJ, _l4_JI),
-    ((SET_C, SET_E), _l5_IJ, _l5_JI),
-    ((SET_A, SET_E), _l6_IJ, _l6_JI),
+    ((SET_A, SET_C), _l4),
+    ((SET_C, SET_E), _l5),
+    ((SET_A, SET_E), _l6),
 )
 
 
@@ -270,18 +239,22 @@ def _shift(S: frozenset[int], t: int) -> frozenset[int]:
 
 
 def _cross_formula(I: frozenset[int], J: frozenset[int]):
-    """Resolve (I, J) to (branch function, rotation t) via the representatives."""
-    for (rI, rJ), f_ij, f_ji in _CROSS_REPS:
+    """Resolve (I, J) to (branch function, rotation t) via the representatives.
+
+    A swapped pair reuses its representative's function six classes on:
+    d_{J,I}(w) = d_{I,J}(-w), and -w lies in the class six past w's (f odd).
+    """
+    for (rI, rJ), func in _CROSS_REPS:
         for t in range(12):
             if I == _shift(rI, t) and J == _shift(rJ, t):
-                return f_ij, t
+                return func, t
             if I == _shift(rJ, t) and J == _shift(rI, t):
-                return f_ji, t
+                return func, (t + 6) % 12
     raise ValueError("pair outside the closed-form families")
 
 
-def predicted_dIJ(sys_or_q, I: frozenset[int], J: frozenset[int],
-                  w_class_or_w: int, part: QuadraticPartition) -> int:
+def predicted_dIJ(sys: CyclotomicSystem, I: frozenset[int], J: frozenset[int],
+                  w: int, part: QuadraticPartition) -> int:
     """Closed-form d_{I,J}(w) for pairs of named patterns with |I & J| = 3.
 
     The branch is selected by h + t where h is the class of w**-1 and t the
@@ -289,14 +262,9 @@ def predicted_dIJ(sys_or_q, I: frozenset[int], J: frozenset[int],
     """
     if part.y_signed is None or part.x is None:
         raise ValueError("predicted_dIJ needs x and a calibrated y sign")
-    if isinstance(sys_or_q, CyclotomicSystem):
-        q = sys_or_q.q
-        u = sys_or_q.klass(w_class_or_w)
-    else:
-        q, u = sys_or_q, w_class_or_w
     func, t = _cross_formula(I, J)
-    h = (-u) % 12
-    return func(q, part.x, part.y_signed, (h + t) % 12)
+    h = (-sys.klass(w)) % 12
+    return func(sys.q, part.x, part.y_signed, (h + t) % 12)
 
 
 def predicted_spectrum(q: int, part: QuadraticPartition, I: frozenset[int],
@@ -305,15 +273,19 @@ def predicted_spectrum(q: int, part: QuadraticPartition, I: frozenset[int],
     stratum, from the closed forms alone (no counting).
 
     Strata: for each h in [0,12) the f shifts (0, w2) with w2**-1 in D_h take
-    one value, the f shifts (1, w2) another; (1, 0) contributes once.
+    one value, the f shifts (1, w2) another; (1, 0) contributes once.  w2's
+    own class -h has the parity of h, which picks the d_I branch.
     """
+    if part.y_signed is None or part.x is None:
+        raise ValueError("predicted_spectrum needs x and a calibrated y sign")
     f = (q - 1) // 12
+    dI = _dI_table(I, q, part.y_signed)
+    dJ = _dI_table(J, q, part.y_signed)
     func_ij, t_ij = _cross_formula(I, J)
     func_ji, t_ji = _cross_formula(J, I)
     hist: dict[int, int] = {}
     for h in range(12):
-        u = (-h) % 12
-        v0 = predicted_dI(q, I, u, part) + predicted_dI(q, J, u, part)
+        v0 = dI[h % 2] + dJ[h % 2]
         v1 = func_ij(q, part.x, part.y_signed, (h + t_ij) % 12) + \
             func_ji(q, part.x, part.y_signed, (h + t_ji) % 12)
         if include_zero:  # f odd, so -1 lies in class 6
@@ -435,9 +407,9 @@ def calibrate_order4(sys: CyclotomicSystem) -> Order4Calibration:
     them.  Anything else is a hard error; a gateless prime is a usage error."""
     cal = match_order4_conditions(sys)
     part = cal.partition
-    if part.t_abs != 1 and part.s != 1:
+    if part.y_abs != 1 and part.x != 1:
         raise ValueError(
-            f"q={sys.q} satisfies no order-4 condition (s={part.s}, |t|={part.t_abs})")
+            f"q={sys.q} satisfies no order-4 condition (s={part.x}, |t|={part.y_abs})")
     if not cal.matched_no_zero or cal.matched_no_zero != cal.matched_with_zero:
         raise ArithmeticError(
             f"order-4 calibration at q={sys.q}: no-zero matched "
@@ -465,7 +437,7 @@ def matching_conditions(order: int, part: QuadraticPartition) -> list[str]:
             out.append("t1")
         if part.t_signed == -1:
             out.append("tm1")
-        if part.s == 1:
+        if part.x == 1:
             out.append("s1")
     else:
         raise ValueError("conditions exist for orders 4 and 12 only")

@@ -98,7 +98,6 @@ def exhaustive_search(q: int, d: int, include_zero: bool) -> list[SearchHit]:
         member[i, list(s)] = 1
 
     n, k, lam, tcount = dhm.theorem_parameters(q, include_zero)
-    neg_class = d // 2  # class of -1 for f odd
 
     ok = np.ones((ns, ns), dtype=bool)
     lam_count = np.zeros((ns, ns), dtype=np.int64)
@@ -108,7 +107,7 @@ def exhaustive_search(q: int, d: int, include_zero: bool) -> list[SearchHit]:
         m = member @ th @ member.T   # m[a,b] = sum_{i in A, j in B} (i+h, j+h)
         diag = m.diagonal()
         if include_zero:
-            delta = member[:, (-h) % d] + member[:, (neg_class - h) % d]
+            delta = member[:, (-h) % d] + member[:, (sys.minus_one_class - h) % d]
         else:
             delta = np.zeros(ns, dtype=np.int64)
         v0 = diag[:, None] + diag[None, :] + delta[:, None]
@@ -229,7 +228,7 @@ def _gate_conditions(d: int, q: int) -> dict[str, bool]:
         cal = dhm.match_order4_conditions(sys)
         part = cal.partition
         return {"t1": part.t_signed == 1, "tm1": part.t_signed == -1,
-                "s1": part.s == 1}
+                "s1": part.x == 1}
     return {"always": True}
 
 

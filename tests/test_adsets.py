@@ -86,10 +86,11 @@ def test_delta_term_examples():
 
 def test_delta_term_matches_direct_count():
     rng = random.Random(3)
-    for q in (13, 37):
-        s = cyclotomy.build_classes(q, 12)
+    # f odd at (13, 12), (37, 12); f even at the rest, where -1 lies in D_0
+    for q, d in ((13, 12), (37, 12), (73, 12), (17, 4), (13, 6), (97, 8)):
+        s = cyclotomy.build_classes(q, d)
         for _ in range(20):
-            I = frozenset(rng.sample(range(12), 6))
+            I = frozenset(rng.sample(range(d), d // 2))
             DI = s.union(I)
             for w in rng.sample(range(1, q), 6):
                 direct = len(DI & {w % q, (-w) % q})

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cyclodes import cli
 
 
@@ -116,6 +118,15 @@ def test_search_rejects_workers_below_one(tmp_path, capsys):
     assert not (tmp_path / "family_report_d4.csv").exists()
 
 
+def test_search_rejects_format(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--d", "4", "--bound", "30", "--format", "csv",
+                  "--report-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "family_report_d4.csv").exists()
+
+
 def test_serial_cli_does_not_load_process_pool():
     import subprocess
     import sys
@@ -168,12 +179,8 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["q"] == 13
 
 
-def test_seed_cache(tmp_path, capsys):
-    code, _, _ = run(capsys, "cycnums", "--q", "37", "--d", "12",
-                     "--seed-cache", str(tmp_path))
-    assert code == 0
-    assert (tmp_path / "cyc_q37_d12_g2.csv").exists()
-    # second run reads the cache and produces identical output
-    code2, out2, _ = run(capsys, "cycnums", "--q", "37", "--d", "12",
-                         "--seed-cache", str(tmp_path))
-    assert code2 == 0
+def test_cache_env_is_ignored(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CYCLODES_CACHE", str(tmp_path))
+    code, out, _ = run(capsys, "cycnums", "--q", "37", "--d", "12")
+    assert code == 0 and json.loads(out)["q"] == 37
+    assert list(tmp_path.iterdir()) == []

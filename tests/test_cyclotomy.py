@@ -70,7 +70,6 @@ def test_row_sum_identity():
 def test_partition_q13():
     p = cy.quadratic_partitions(13)
     assert (p.x, p.y_abs, p.A, p.B_abs) == (-3, 1, 1, 2)
-    assert (p.s, p.t_abs) == (-3, 1)
 
 
 def test_partition_q37():
@@ -80,8 +79,9 @@ def test_partition_q37():
 
 
 def test_partition_q29_order4_use():
+    # the order-4 parameters s, |t| are x, |y|
     p = cy.quadratic_partitions(29)
-    assert (p.s, p.t_abs) == (5, 1)
+    assert (p.x, p.y_abs) == (5, 1)
 
 
 def test_partition_uniqueness_and_congruences():
@@ -89,8 +89,6 @@ def test_partition_uniqueness_and_congruences():
         p = cy.quadratic_partitions(q)
         assert p.x * p.x + 4 * p.y_abs ** 2 == q and p.x % 4 == 1
         assert p.A * p.A + 3 * p.B_abs ** 2 == q and p.A % 6 == 1
-        if q % 8 == 5:
-            assert p.s * p.s + 4 * p.t_abs ** 2 == q and p.s % 4 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +301,3 @@ def test_cubic_residue_02_predicate():
     # q=13: 2 is not a cubic residue (Ind(2) = 1), so the predicate is off
     s13 = cy.build_classes(13, 12, 2)
     assert cy.cubic_residue_02_check(s13, cy.quadratic_partitions(13)) is None
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-def test_table_cache_roundtrip(tmp_path):
-    s = cy.build_classes(37, 12, 2)
-    t = cy.cyclotomic_numbers(s)
-    path = cy.save_table(t, s, tmp_path)
-    assert path.name == "cyc_q37_d12_g2.csv"
-    loaded = cy.load_table(37, 12, 2, tmp_path)
-    assert loaded == t
-    # recomputation writes identical bytes
-    first = path.read_bytes()
-    cy.save_table(cy.cyclotomic_numbers(s), s, tmp_path)
-    assert path.read_bytes() == first
-    # cached read path returns the same table
-    assert cy.cyclotomic_numbers_cached(s, tmp_path) == t

@@ -56,7 +56,7 @@ def test_order4_calibration_to_500():
             continue
         cal = dhm.match_order4_conditions(cyclotomy.build_classes(q, 4))
         part = cal.partition
-        if part.t_abs == 1 or part.s == 1:
+        if part.y_abs == 1 or part.x == 1:
             assert cal.matched_no_zero, q
             assert cal.matched_no_zero == cal.matched_with_zero, q
         else:

@@ -87,6 +87,23 @@ def test_sweep_pairs_reach_hits():
     assert all(sweep_hits(q, z) for q in SWEEP_PRIMES for z in (False, True))
 
 
+def test_predicted_spectrum_equals_stratum_spectrum():
+    """The closed forms against the table at every theorem pair, both zero
+    variants and every order-12 f-odd prime below 1000."""
+    primes = [q for q in range(13, 1000) if q % 24 == 13 and ff.is_prime(q)]
+    pairs = {p for cond in dhm.ORDER12_CONDITIONS for p in dhm.theorem12_pairs(cond)}
+    cases = 0
+    for q in primes:
+        part = dhm.calibrate_order12(classes(q, 12))
+        for I, J in pairs:
+            for include_zero in (False, True):
+                assert dhm.predicted_spectrum(q, part, I, J, include_zero) == \
+                    cyclotomy.stratum_spectrum(table(q, 12), I, J, include_zero), \
+                    (q, sorted(I), sorted(J), include_zero)
+                cases += 1
+    assert cases == 1056
+
+
 def direct_y_sign(sys, y_abs):
     """Oracle: count the translate overlap of D_{0,1,4,5,8,9} at every
     even-class shift and fit (q - 2y - 3)/4."""
