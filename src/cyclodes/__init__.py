@@ -18,8 +18,7 @@ from .dhm import (Order4Recipe, Order12Recipe, build_order4, build_order12,
                   predicted_dI, predicted_dIJ, theorem12_pairs, theorem_parameters,
                   verify_family)
 from .ff import IndexTable, build_index_table, find_primitive_root, is_prime, pow_mod
-from .search import (SearchHit, cross_prime_family_report, enumerate_pairs,
-                     exhaustive_search, order4_triple_search)
+from .search import SearchHit, cross_prime_family_report, enumerate_pairs, exhaustive_search
 from .seqkit import (AutocorrelationProfile, BinarySequence, autocorrelation,
                      characteristic_sequence, classify_sequence, crt_flatten,
                      set_sequence)

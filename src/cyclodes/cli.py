@@ -66,7 +66,7 @@ def cmd_classes(args) -> int:
 
 def cmd_cycnums(args) -> int:
     sys_ = cyclotomy.build_classes(args.q, args.d)
-    table = cyclotomy.cyclotomic_numbers(sys_)
+    table = sys_.table
     failures = []
 
     total_ok = table.total() == args.q - 2

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .ff import IndexTable, build_index_table, check_prime_modulus, find_primitive_root
 
@@ -63,6 +64,11 @@ class CyclotomicSystem:
     def minus_one_class(self) -> int:
         # -1 = g**((q-1)/2), so its class is (d*f/2) mod d
         return (self.d * self.f // 2) % self.d
+
+    @cached_property
+    def table(self) -> CyclotomicNumberTable:
+        """The exact (m,n)_d table, counted once per system on first use."""
+        return cyclotomic_numbers(self)
 
 
 def build_classes(q: int, d: int, g: int | None = None) -> CyclotomicSystem:
@@ -147,7 +153,8 @@ def stratum_spectrum(table: CyclotomicNumberTable, I, J,
 
     The difference function is constant on 2d + 1 strata: for each h in
     [0, d) the f shifts (0, w) and the f shifts (1, w) with w**-1 in D_h,
-    plus the single shift (1, 0).  Works for any d | q-1.  Equals
+    plus the single shift (1, 0).  Works for any d | q-1 and any I, J: the
+    scalar reference for dhm.hit_pairs and the closed forms.  Equals
     adsets.distance_spectrum(...).histogram, the direct-count oracle.
     """
     q, d = table.q, table.d
@@ -549,8 +556,7 @@ def brute_force_canonical(table: CyclotomicNumberTable) -> dict[str, int]:
     return out
 
 
-def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition,
-                           table: CyclotomicNumberTable | None = None):
+def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition):
     """Side-condition identity 144*(0,2)_12 = q + 1 - 2A + 24B - 12x.
 
     Applies when 2 is a cubic residue, 3 is a biquadratic residue, and f is
@@ -562,9 +568,7 @@ def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition,
         return None
     if sys.index(2) % 3 != 0 or sys.index(3) % 4 != 0:
         return None
-    if table is None:
-        table = cyclotomic_numbers(sys)
-    target = 144 * table.counts[0][2]
+    target = 144 * sys.table.counts[0][2]
     signs = set()
     cands = {part.B_abs, -part.B_abs}
     for b in cands:
@@ -583,7 +587,7 @@ _CAL_SET = frozenset({0, 1, 4, 5, 8, 9})
 def resolve_signs(sys: CyclotomicSystem, part: QuadraticPartition) -> QuadraticPartition:
     """Pin the sign of y (and of B for case-1 systems) against exact counts.
 
-    Both fits read the one exhaustive (m,n)_12 table of sys, built once here.
+    Both fits read the one exhaustive (m,n)_12 table of sys (sys.table).
 
     y: the unique sign for which the translate-overlap d_{I,I}(w) of the
     class union I = {0,1,4,5,8,9} equals (q - 2y - 3)/4 on every even-class
@@ -598,7 +602,7 @@ def resolve_signs(sys: CyclotomicSystem, part: QuadraticPartition) -> QuadraticP
     if sys.f % 2 == 0:
         raise ValueError("sign resolution requires f odd")
     q = sys.q
-    table = cyclotomic_numbers(sys)
+    table = sys.table
     d_vals = {stratum_distance(table, _CAL_SET, _CAL_SET, h) for h in range(0, 12, 2)}
     fits = [y for y in sorted({part.y_abs, -part.y_abs}, reverse=True)
             if d_vals == {(q - 2 * y - 3) // 4} and (q - 2 * y - 3) % 4 == 0]

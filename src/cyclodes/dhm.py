@@ -17,10 +17,10 @@ parameters are *outputs* of calibration against exact counts (never inputs),
 keeping every verification non-circular:
   * y via the translate-overlap pattern of {0,1,4,5,8,9} (cyclotomy.resolve_signs),
   * t via which order-4 condition list the exhaustive triple search returns.
-Both read the cyclotomic-number table, itself one exhaustive counting pass
-over GF(q)*, through cyclotomy.stratum_spectrum and stratum_distance; no
-closed form enters a calibration.  verify_family then classifies every recipe
-by direct pair counting (adsets.distance_spectrum), the independent oracle.
+Both read the exhaustive cyclotomic-number table sys.table, through
+cyclotomy.stratum_spectrum and stratum_distance; no closed form enters a
+calibration.  verify_family then classifies every recipe by direct pair
+counting (adsets.distance_spectrum), the independent oracle.
 
 Closed-form branch convention: the restricted distances d_I(w), d_{I,J}(w)
 are piecewise constant on cyclotomic classes, with branches indexed by the
@@ -39,7 +39,9 @@ this from the closed forms; verify_family reports recipe-by-recipe truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import permutations
+from itertools import combinations, permutations
+
+import numpy as np
 
 from . import cyclotomy
 from .adsets import CharacteristicSet, DifferenceSpectrum, classify, distance_spectrum
@@ -172,6 +174,50 @@ def theorem_parameters(q: int, include_zero: bool) -> tuple[int, int, int, int]:
     if include_zero:
         return (2 * q, q, (q - 1) // 2, (3 * q - 1) // 2)
     return (2 * q, q - 1, (q - 3) // 2, 3 * (q - 1) // 2)
+
+
+# ---------------------------------------------------------------------------
+# the (I, J) sweep
+# ---------------------------------------------------------------------------
+
+def hit_pairs(sys: CyclotomicSystem,
+              include_zero: bool) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every ordered (I, J) of d/2-subsets whose construction reaches
+    theorem_parameters, in lexicographic order (f odd).
+
+    The strata of cyclotomy.stratum_spectrum, for all C(d, d/2)**2 pairs at
+    once: per h, the class sums (i+h, j+h)_d over i in I, j in J are one
+    integer matrix product on sys.table.
+    """
+    d, q, f = sys.d, sys.q, sys.f
+    tnp = np.array(sys.table.counts, dtype=np.int64)
+    subsets = list(combinations(range(d), d // 2))
+    ns = len(subsets)
+    member = np.zeros((ns, d), dtype=np.int64)
+    for i, s in enumerate(subsets):
+        member[i, list(s)] = 1
+    _, _, lam, tcount = theorem_parameters(q, include_zero)
+    ok = np.ones((ns, ns), dtype=bool)
+    lam_count = np.zeros((ns, ns), dtype=np.int64)
+    for h in range(d):
+        idx = [(i + h) % d for i in range(d)]
+        th = tnp[np.ix_(idx, idx)]
+        m = member @ th @ member.T   # m[a,b] = sum_{i in A, j in B} (i+h, j+h)
+        diag = m.diagonal()
+        if include_zero:
+            delta = member[:, (-h) % d] + member[:, (sys.minus_one_class - h) % d]
+        else:
+            delta = np.zeros(ns, dtype=np.int64)
+        v0 = diag[:, None] + diag[None, :] + delta[:, None]
+        v1 = m + m.T + delta[None, :]
+        for v in (v0, v1):
+            ok &= (v == lam) | (v == lam + 1)
+            lam_count += (v == lam) * f
+    z = 2 * f * (member @ member.T)
+    ok &= (z == lam) | (z == lam + 1)
+    lam_count += z == lam
+    ok &= lam_count == tcount
+    return [(subsets[a], subsets[b]) for a, b in zip(*np.nonzero(ok))]
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +391,16 @@ class Order4Calibration:
 def order4_hit_triples(sys: CyclotomicSystem, include_zero: bool) -> list[tuple[int, int, int]]:
     """All ordered distinct triples whose construction reaches the target
     parameters.  Triple (i, j, l) is the pair I = {i, j}, J = {l, j}; its
-    spectrum is read off the exhaustive (m,n)_4 table by
-    cyclotomy.stratum_spectrum, one table per call."""
+    spectrum is read off sys.table by cyclotomy.stratum_spectrum."""
     if sys.d != 4:
         raise ValueError("order-4 triples need an order-4 system")
     if sys.q % 8 != 5:
         raise ValueError(f"q={sys.q} is not 5 mod 8")
     q = sys.q
     target = theorem_parameters(q, include_zero)
-    table = cyclotomy.cyclotomic_numbers(sys)
     hits = []
     for (i, j, l) in permutations(range(4), 3):
-        hist = cyclotomy.stratum_spectrum(table, {i, j}, {l, j}, include_zero)
+        hist = cyclotomy.stratum_spectrum(sys.table, {i, j}, {l, j}, include_zero)
         spec = DifferenceSpectrum(n=2 * q, k=4 * sys.f + include_zero, histogram=hist)
         if classify(spec).parameters == target:
             hits.append((i, j, l))

@@ -6,15 +6,15 @@ Search space: ordered pairs (I, J) of class-index subsets with
 odd.  That is the only size split that can reach the target parameter shapes
 (k = q - 1 or q).
 
-Method: a construction's difference function is constant on 25 strata (24 for
-general d: one per (slice, class) pair, plus the (1,0) shift), and each
+Method: a construction's difference function is constant on 25 strata (2d+1
+for general d: one per (slice, class) pair, plus the (1,0) shift), and each
 stratum value is an exact sum of cyclotomic numbers:
 
     d_{I,J}(w) = sum over i in I, j in J of (i+h, j+h)_d,  w**-1 in D_h,
 
 because multiplying by w**-1 is a bijection sending D_i + w to D_{i+h} + 1.
 The whole C(d, d/2)**2 sweep therefore reduces to integer matrix products on
-the exact cyclotomic-number table, evaluated with numpy.  The slow route
+the exact cyclotomic-number table (dhm.hit_pairs).  The slow route
 (adsets.distance_spectrum per pair) computes the same thing by direct pair
 enumeration; the two are cross-checked in the test suite and the theorem
 recipes are always re-verified through the slow route.
@@ -31,10 +31,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from . import cyclotomy, dhm
-from .ff import is_prime
+from .ff import Q_LIMIT, is_prime
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,9 @@ def pair_count(d: int, size_i: int, size_j: int) -> int:
 
 
 def search_primes(d: int, bound: int) -> list[int]:
-    """Primes q = d*f + 1 with f odd, q <= bound."""
+    """Primes q = d*f + 1 with f odd, q <= bound < 2**20."""
+    if bound >= Q_LIMIT:
+        raise ValueError(f"bound={bound} must be below 2**20")
     return [q for q in range(d + 1, bound + 1)
             if (q - 1) % d == 0 and ((q - 1) // d) % 2 == 1 and is_prime(q)]
 
@@ -79,7 +79,7 @@ def search_primes(d: int, bound: int) -> list[int]:
 def exhaustive_search(q: int, d: int, include_zero: bool) -> list[SearchHit]:
     """Every (I, J) whose construction is an ADS with the target shape.
 
-    Complete over all C(d, d/2)**2 ordered pairs; deterministic output order.
+    Complete over all C(d, d/2)**2 ordered pairs (dhm.hit_pairs); sorted.
     """
     if (q - 1) % d != 0:
         raise ValueError(f"d={d} does not divide q-1")
@@ -87,46 +87,10 @@ def exhaustive_search(q: int, d: int, include_zero: bool) -> list[SearchHit]:
     if f % 2 == 0:
         raise ValueError(f"search requires f odd (q={q}, d={d})")
     sys = cyclotomy.build_classes(q, d)
-    table = cyclotomy.cyclotomic_numbers(sys)
-    tnp = np.array(table.counts, dtype=np.int64)
-
-    half = d // 2
-    subsets = list(combinations(range(d), half))
-    ns = len(subsets)
-    member = np.zeros((ns, d), dtype=np.int64)
-    for i, s in enumerate(subsets):
-        member[i, list(s)] = 1
-
     n, k, lam, tcount = dhm.theorem_parameters(q, include_zero)
-
-    ok = np.ones((ns, ns), dtype=bool)
-    lam_count = np.zeros((ns, ns), dtype=np.int64)
-    for h in range(d):
-        idx = [(i + h) % d for i in range(d)]
-        th = tnp[np.ix_(idx, idx)]
-        m = member @ th @ member.T   # m[a,b] = sum_{i in A, j in B} (i+h, j+h)
-        diag = m.diagonal()
-        if include_zero:
-            delta = member[:, (-h) % d] + member[:, (sys.minus_one_class - h) % d]
-        else:
-            delta = np.zeros(ns, dtype=np.int64)
-        v0 = diag[:, None] + diag[None, :] + delta[:, None]
-        v1 = m + m.T + delta[None, :]
-        for v in (v0, v1):
-            ok &= (v == lam) | (v == lam + 1)
-            lam_count += (v == lam) * f
-    z = 2 * f * (member @ member.T)
-    ok &= (z == lam) | (z == lam + 1)
-    lam_count += z == lam
-    ok &= lam_count == tcount
-
-    hits = []
-    for a, b in zip(*np.nonzero(ok)):
-        hits.append(SearchHit(q=q, d=d, I=subsets[a], J=subsets[b],
-                              include_zero=include_zero,
-                              n=n, k=k, lam=lam, t=tcount))
-    hits.sort(key=lambda h: (h.q, h.I, h.J))
-    return hits
+    return [SearchHit(q=q, d=d, I=I, J=J, include_zero=include_zero,
+                      n=n, k=k, lam=lam, t=tcount)
+            for I, J in dhm.hit_pairs(sys, include_zero)]
 
 
 def exhaustive_search_direct(q: int, d: int, include_zero: bool) -> list[SearchHit]:
@@ -151,20 +115,6 @@ def exhaustive_search_direct(q: int, d: int, include_zero: bool) -> list[SearchH
                                   n=n, k=k, lam=lam, t=tcount))
     hits.sort(key=lambda h: (h.q, h.I, h.J))
     return hits
-
-
-def order4_triple_search(q: int, include_zero: bool) -> list[tuple[int, int, int]]:
-    """All ordered distinct (i, j, l) reaching the target parameters, by
-    table-derived spectra (q = 5 mod 8; see dhm.order4_hit_triples)."""
-    if q % 8 != 5:
-        raise ValueError(f"q={q} is not 5 mod 8")
-    sys = cyclotomy.build_classes(q, 4)
-    return sorted(dhm.order4_hit_triples(sys, include_zero))
-
-
-def triple_as_pair(i: int, j: int, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(i, j, l) in the (I, J) search coordinates: I = {i,j}, J = {l,j}."""
-    return tuple(sorted({i, j})), tuple(sorted({l, j}))
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,8 @@ def test_criterion_4_order4_lists():
     t0 = time.perf_counter()
     ok = True
     for q in ORDER4_T_PRIMES + ORDER4_S_PRIMES:
-        hits_nz = set(search.order4_triple_search(q, False))
-        hits_z = set(search.order4_triple_search(q, True))
+        hits_nz = set(dhm.order4_hit_triples(cyclotomy.build_classes(q, 4), False))
+        hits_z = set(dhm.order4_hit_triples(cyclotomy.build_classes(q, 4), True))
         match_nz = [c for c, trips in dhm.COROLLARY1_TRIPLES.items()
                     if hits_nz == set(trips)]
         match_z = [c for c, trips in dhm.COROLLARY2_TRIPLES.items()

@@ -118,6 +118,23 @@ def test_search_rejects_workers_below_one(tmp_path, capsys):
     assert not (tmp_path / "family_report_d4.csv").exists()
 
 
+def test_search_rejects_bound_at_q_limit(tmp_path, monkeypatch, capsys):
+    # 1,048,589 > 2**20 is prime and 5 (mod 8): the bound must be refused
+    # before any prime is swept, not when its class table is built
+    from cyclodes import search
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("swept primes past the bound check")
+
+    monkeypatch.setattr(search, "exhaustive_search_many", unreachable)
+    for bound in ("1048576", "1048700"):
+        code, out, err = run(capsys, "search", "--d", "4", "--bound", bound,
+                             "--report-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "2**20" in err
+    assert not (tmp_path / "family_report_d4.csv").exists()
+
+
 def test_search_rejects_format(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--d", "4", "--bound", "30", "--format", "csv",

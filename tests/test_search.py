@@ -1,6 +1,6 @@
 import pytest
 
-from cyclodes import dhm, search
+from cyclodes import cyclotomy, dhm, search
 
 
 def test_enumerate_pairs_counts():
@@ -105,11 +105,11 @@ def test_vectorized_hits_reverified_at_orders_8_10():
 
 
 def test_order4_triple_search_matches_lists():
-    assert set(search.order4_triple_search(37, False)) == \
+    assert set(dhm.order4_hit_triples(cyclotomy.build_classes(37, 4), False)) == \
         set(dhm.COROLLARY1_TRIPLES["s1"])
-    assert set(search.order4_triple_search(37, True)) == \
+    assert set(dhm.order4_hit_triples(cyclotomy.build_classes(37, 4), True)) == \
         set(dhm.COROLLARY2_TRIPLES["s1"])
-    hits29 = set(search.order4_triple_search(29, False))
+    hits29 = set(dhm.order4_hit_triples(cyclotomy.build_classes(29, 4), False))
     assert hits29 in (set(dhm.COROLLARY1_TRIPLES["t1"]),
                       set(dhm.COROLLARY1_TRIPLES["tm1"]))
 
@@ -118,7 +118,8 @@ def test_triple_pair_correspondence():
     # the (I, J) hits at an order-4 prime are exactly the images of the
     # triple hits under (i, j, l) -> ({i,j}, {l,j})
     q = 29
-    trip = {search.triple_as_pair(*t) for t in search.order4_triple_search(q, False)}
+    trip = {(tuple(sorted({i, j})), tuple(sorted({l, j})))
+            for i, j, l in dhm.order4_hit_triples(cyclotomy.build_classes(q, 4), False)}
     pair_hits = {(h.I, h.J) for h in search.exhaustive_search(q, 4, False)}
     assert trip == pair_hits
 

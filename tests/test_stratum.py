@@ -135,3 +135,51 @@ def test_order4_hits_match_direct_spectra():
                       if classify(distance_spectrum(dhm.build_order4(
                           sys, dhm.Order4Recipe(*t, include_zero)))).parameters == target]
             assert dhm.order4_hit_triples(sys, include_zero) == direct
+
+
+def test_order4_sweep_equals_stratum_triples():
+    """The d=4 sweep against the triple route, at every q = 5 (mod 8) below
+    2000: each sweep hit (I, J) has |I & J| = 1 and maps to the triple
+    (i, j, l) with I = {i, j}, J = {l, j}; the mapped hits, sorted, are
+    exactly the triples whose stratum spectra reach the target."""
+    primes = [q for q in range(5, 2000) if q % 8 == 5 and ff.is_prime(q)]
+    for q in primes:
+        sys = cyclotomy.build_classes(q, 4)
+        for include_zero in (False, True):
+            mapped = []
+            for I, J in dhm.hit_pairs(sys, include_zero):
+                (j,) = set(I) & set(J)
+                (i,) = set(I) - {j}
+                (l,) = set(J) - {j}
+                mapped.append((i, j, l))
+            assert sorted(mapped) == dhm.order4_hit_triples(sys, include_zero), \
+                (q, include_zero)
+
+
+def count_tables(monkeypatch):
+    """Count cyclotomy.cyclotomic_numbers calls from here on."""
+    calls = []
+    original = cyclotomy.cyclotomic_numbers
+
+    def counting(sys):
+        calls.append((sys.q, sys.d))
+        return original(sys)
+
+    monkeypatch.setattr(cyclotomy, "cyclotomic_numbers", counting)
+    return calls
+
+
+def test_order4_match_counts_one_table(monkeypatch):
+    calls = count_tables(monkeypatch)
+    cal = dhm.match_order4_conditions(cyclotomy.build_classes(29, 4))
+    assert cal.matched_no_zero
+    assert calls == [(29, 4)]
+
+
+def test_order12_readers_share_one_table(monkeypatch):
+    calls = count_tables(monkeypatch)
+    sys = cyclotomy.build_classes(229, 12)
+    part = cyclotomy.resolve_signs(sys, cyclotomy.quadratic_partitions(229))
+    assert cyclotomy.cubic_residue_02_check(sys, part)
+    assert sys.table.total() == 229 - 2
+    assert calls == [(229, 12)]
