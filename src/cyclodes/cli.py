@@ -126,20 +126,20 @@ def cmd_cycnums(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _conditions_for(args) -> list[str]:
+def _conditions_for(args):
+    """The conditions to verify, with the calibrated system that auto
+    resolved them on (None for a named condition)."""
     if args.condition != "auto":
-        return [args.condition]
+        return [args.condition], None
+    calibrated = dhm.calibrated_system(args.q, args.order)
+    _, cal = calibrated
     if args.order == 12:
-        sys_ = cyclotomy.build_classes(args.q, 12)
-        part = dhm.calibrate_order12(sys_)
-        conds = dhm.matching_conditions(12, part)
+        conds = dhm.matching_conditions(12, cal)
     else:
-        sys_ = cyclotomy.build_classes(args.q, 4)
-        cal = dhm.calibrate_order4(sys_)
         conds = sorted(set(cal.matched_no_zero))
     if not conds:
         raise ValueError(f"no condition applies at q={args.q} (order {args.order})")
-    return conds
+    return conds, calibrated
 
 
 def cmd_verify(args) -> int:
@@ -152,8 +152,9 @@ def cmd_verify(args) -> int:
         include_zero = True
     elif args.no_zero:
         include_zero = False
-    reports = [dhm.verify_family(args.q, args.order, cond, include_zero)
-               for cond in _conditions_for(args)]
+    conds, calibrated = _conditions_for(args)
+    reports = [dhm.verify_family(args.q, args.order, cond, include_zero, calibrated)
+               for cond in conds]
     all_pass = all(r.all_pass for r in reports)
     if args.format == "json":
         _out(args, _json_dumps([r.to_dict() for r in reports]))

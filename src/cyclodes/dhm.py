@@ -185,39 +185,50 @@ def hit_pairs(sys: CyclotomicSystem,
     """Every ordered (I, J) of d/2-subsets whose construction reaches
     theorem_parameters, in lexicographic order (f odd).
 
-    The strata of cyclotomy.stratum_spectrum, for all C(d, d/2)**2 pairs at
-    once: per h, the class sums (i+h, j+h)_d over i in I, j in J are one
-    integer matrix product on sys.table.
+    The 2d+1 strata of cyclotomy.stratum_spectrum, decided stratum by
+    stratum.  With P_h[A] the row sum_{i in A} (i+h, . +h)_d, the class sum
+    over i in I, j in J is P_h[I] . [J], so the same-slice stratum
+    v0_h = P_h[I].[I] + P_h[J].[J] + delta_h(I) is an outer sum of per-subset
+    values.  Stratum h = 0 is decided on the full C(d, d/2)**2 grid; the pairs
+    left in {lam, lam+1} are narrowed on h = 1 .. d-1 in turn, and only the
+    few survivors get the cross-slice strata
+    v1_h = P_h[I].[J] + P_h[J].[I] + delta_h(J), the (1,0) shift 2f|I & J|
+    and the lambda count.  Row-major np.nonzero and order-preserving filters
+    keep the output lexicographic.  Every value is an exact integer at most
+    2q + 2 < 2**21.
     """
     d, q, f = sys.d, sys.q, sys.f
     tnp = np.array(sys.table.counts, dtype=np.int64)
     subsets = list(combinations(range(d), d // 2))
-    ns = len(subsets)
-    member = np.zeros((ns, d), dtype=np.int64)
+    member = np.zeros((len(subsets), d), dtype=np.int64)
     for i, s in enumerate(subsets):
         member[i, list(s)] = 1
     _, _, lam, tcount = theorem_parameters(q, include_zero)
-    ok = np.ones((ns, ns), dtype=bool)
-    lam_count = np.zeros((ns, ns), dtype=np.int64)
-    for h in range(d):
-        idx = [(i + h) % d for i in range(d)]
-        th = tnp[np.ix_(idx, idx)]
-        m = member @ th @ member.T   # m[a,b] = sum_{i in A, j in B} (i+h, j+h)
-        diag = m.diagonal()
-        if include_zero:
-            delta = member[:, (-h) % d] + member[:, (sys.minus_one_class - h) % d]
-        else:
-            delta = np.zeros(ns, dtype=np.int64)
-        v0 = diag[:, None] + diag[None, :] + delta[:, None]
-        v1 = m + m.T + delta[None, :]
-        for v in (v0, v1):
-            ok &= (v == lam) | (v == lam + 1)
-            lam_count += (v == lam) * f
-    z = 2 * f * (member @ member.T)
-    ok &= (z == lam) | (z == lam + 1)
-    lam_count += z == lam
+    # P[h, a, j] = sum_{i in A} (i+h, j+h)_d
+    P = np.stack([member @ np.roll(tnp, (-h, -h), axis=(0, 1)) for h in range(d)])
+    diag = np.einsum("haj,aj->ha", P, member)
+    if include_zero:
+        hs = np.arange(d)
+        delta = (member[:, -hs % d] + member[:, (sys.minus_one_class - hs) % d]).T
+    else:
+        delta = np.zeros_like(diag)
+    u = diag + delta - lam          # v0_h(a, b) - lam = u[h, a] + diag[h, b]
+
+    def near_lam(v):                # v - lam in {0, 1}
+        return (v == 0) | (v == 1)
+
+    a, b = np.nonzero(near_lam(u[0][:, None] + diag[0][None, :]))
+    for h in range(1, d):
+        keep = near_lam(u[h, a] + diag[h, b])
+        a, b = a[keep], b[keep]
+    v0 = u[:, a] + diag[:, b]
+    v1 = (np.einsum("hkj,kj->hk", P[:, a], member[b])
+          + np.einsum("hkj,kj->hk", P[:, b], member[a]) + delta[:, b] - lam)
+    z = 2 * f * (member[a] * member[b]).sum(axis=1) - lam
+    ok = near_lam(v1).all(axis=0) & near_lam(z)
+    lam_count = f * ((v0 == 0).sum(axis=0) + (v1 == 0).sum(axis=0)) + (z == 0)
     ok &= lam_count == tcount
-    return [(subsets[a], subsets[b]) for a, b in zip(*np.nonzero(ok))]
+    return [(subsets[i], subsets[j]) for i, j in zip(a[ok], b[ok])]
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +477,17 @@ def calibrate_order12(sys: CyclotomicSystem) -> QuadraticPartition:
     return cyclotomy.resolve_signs(sys, cyclotomy.quadratic_partitions(sys.q))
 
 
+def calibrated_system(q: int, order: int) -> tuple[CyclotomicSystem,
+                                                    Order4Calibration | QuadraticPartition]:
+    """The order-4 or order-12 class system at q and its calibration, built
+    once for every condition verified there: (sys, calibrate_order4(sys)) or
+    (sys, calibrate_order12(sys))."""
+    if order not in (4, 12):
+        raise ValueError("order must be 4 or 12")
+    sys = cyclotomy.build_classes(q, order)
+    return sys, calibrate_order4(sys) if order == 4 else calibrate_order12(sys)
+
+
 def matching_conditions(order: int, part: QuadraticPartition) -> list[str]:
     """Condition names whose gate the calibrated partition satisfies."""
     out = []
@@ -519,20 +541,22 @@ def _classification_dict(cls) -> dict:
 
 
 def verify_family(q: int, order: int, condition: str,
-                  include_zero: bool | None = None) -> FamilyReport:
+                  include_zero: bool | None = None,
+                  calibrated: tuple | None = None) -> FamilyReport:
     """Build every recipe of a condition, classify it by exact counting, and
     report pass/fail against the target parameter tuple.
 
-    include_zero=None checks both variants.  For order 12 the report also
-    cross-checks the closed-form predicted histogram against the counted one
-    whenever the pair lies in the closed-form families.
+    include_zero=None checks both variants.  calibrated is the
+    calibrated_system(q, order) pair when the caller already holds it; it is
+    built here otherwise.  For order 12 the report also cross-checks the
+    closed-form predicted histogram against the counted one whenever the pair
+    lies in the closed-form families.
     """
     variants = (False, True) if include_zero is None else (include_zero,)
     if order == 4:
         if q % 8 != 5:
             raise ValueError(f"q={q} is not 5 mod 8")
-        sys = cyclotomy.build_classes(q, 4)
-        cal = calibrate_order4(sys)
+        sys, cal = calibrated or calibrated_system(q, 4)
         report = FamilyReport(q=q, order=4, condition=condition,
                               calibrated_sign=cal.partition.t_signed)
         for z in variants:
@@ -550,8 +574,7 @@ def verify_family(q: int, order: int, condition: str,
     if order == 12:
         if (q - 1) % 12 != 0 or ((q - 1) // 12) % 2 == 0:
             raise ValueError(f"q={q} is not 12f+1 with f odd")
-        sys = cyclotomy.build_classes(q, 12)
-        part = calibrate_order12(sys)
+        sys, part = calibrated or calibrated_system(q, 12)
         report = FamilyReport(q=q, order=12, condition=condition,
                               calibrated_sign=part.y_signed)
         for z in variants:

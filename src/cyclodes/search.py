@@ -13,8 +13,14 @@ stratum value is an exact sum of cyclotomic numbers:
     d_{I,J}(w) = sum over i in I, j in J of (i+h, j+h)_d,  w**-1 in D_h,
 
 because multiplying by w**-1 is a bijection sending D_i + w to D_{i+h} + 1.
-The whole C(d, d/2)**2 sweep therefore reduces to integer matrix products on
-the exact cyclotomic-number table (dhm.hit_pairs).  The slow route
+The whole C(d, d/2)**2 sweep therefore reduces to integer arithmetic on the
+exact cyclotomic-number table (dhm.hit_pairs), decided stratum by stratum:
+a same-slice stratum is an outer sum of one value per subset, so the first
+one is checked on the full grid, the pairs left are narrowed on the other
+same-slice strata, and only the few survivors get the cross-slice strata,
+the (1,0) shift and the lambda count.  At d = 12 that is 2,058 of 853,776
+pairs at q = 13, and at most 114 at every prime from 229 to 5000.  The slow
+route
 (adsets.distance_spectrum per pair) computes the same thing by direct pair
 enumeration; the two are cross-checked in the test suite and the theorem
 recipes are always re-verified through the slow route.

@@ -71,6 +71,34 @@ def test_verify_auto_q13_no_zero(capsys):
     assert {rep["condition"] for rep in reports} == {"ym1a", "ym1b"}
 
 
+def count_calls(monkeypatch, module, *names):
+    """Count calls to module.<name> for each name from here on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("q, order, n_conditions, expected", [
+    (229, 12, 2, {"build_classes": 1, "cyclotomic_numbers": 1, "resolve_signs": 1}),
+    (29, 4, 1, {"build_classes": 1, "cyclotomic_numbers": 1, "resolve_signs": 0}),
+])
+def test_verify_auto_calibrates_once(monkeypatch, capsys, q, order, n_conditions, expected):
+    # one class system, table and calibration serve auto and every condition
+    from cyclodes import cyclotomy
+    counts = count_calls(monkeypatch, cyclotomy, *expected)
+    code, out, _ = run(capsys, "verify", "--q", str(q), "--order", str(order),
+                       "--condition", "auto")
+    assert code in (0, 1) and len(json.loads(out)) == n_conditions
+    assert counts == expected
+
+
 def test_verify_order4_wrong_residue(capsys):
     code, _, err = run(capsys, "verify", "--q", "17", "--order", "4",
                        "--condition", "t1")

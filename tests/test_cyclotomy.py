@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclodes import cyclotomy as cy
 from cyclodes.cyclotomy import CyclotomicInteger12 as Z12
@@ -115,6 +117,31 @@ def test_ring_commutativity_and_conjugation():
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     for k in range(12):
         assert Z12.root_power(k).conjugate() == Z12.root_power((12 - k) % 12)
+
+
+def reduce_mod_phi12(poly):
+    """Remainder of an integer polynomial (coefficients low to high) by long
+    division by Phi_12(x) = x**4 - x**2 + 1, padded to four coefficients."""
+    rem = list(poly) + [0] * max(0, 4 - len(poly))
+    for top in range(len(rem) - 1, 3, -1):
+        c, rem[top] = rem[top], 0      # subtract c * x**(top-4) * Phi_12
+        rem[top - 2] += c
+        rem[top - 4] -= c
+    return rem[:4]
+
+
+coefficients = st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coefficients, coefficients)
+def test_ring_product_equals_polynomial_remainder(a, b):
+    # pure-integer oracle: the schoolbook product, reduced by long division
+    product = [0] * 7
+    for i in range(4):
+        for j in range(4):
+            product[i + j] += a[i] * b[j]
+    assert Z12(*a) * Z12(*b) == Z12(*reduce_mod_phi12(product))
 
 
 def test_ring_against_complex_arithmetic():

@@ -1,4 +1,4 @@
-"""Extended validation sweeps beyond the acceptance scope (~30 s total).
+"""Extended validation sweeps beyond the acceptance scope (~65 s total).
 
 Opt in with CYCLODES_EXTENDED=1; the default suite keeps the spec'd ranges.
 """
@@ -8,6 +8,7 @@ import os
 import pytest
 
 from cyclodes import adsets, cyclotomy, dhm, ff
+from test_stratum import full_grid_hit_pairs
 
 pytestmark = pytest.mark.skipif(not os.environ.get("CYCLODES_EXTENDED"),
                                 reason="set CYCLODES_EXTENDED=1 to run")
@@ -62,3 +63,11 @@ def test_order4_calibration_to_500():
         else:
             assert cal.matched_no_zero == (), q
             assert not cal.unexplained_hits, q
+
+
+def test_narrowed_sweep_equals_full_grid_to_2000():
+    for q in _f_odd_primes(2000):
+        s = cyclotomy.build_classes(q, 12)
+        for include_zero in (False, True):
+            assert dhm.hit_pairs(s, include_zero) == full_grid_hit_pairs(s, include_zero), \
+                (q, include_zero)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclodes import adsets, cyclotomy, dhm, seqkit
 from cyclodes.adsets import CharacteristicSet
@@ -62,6 +64,19 @@ def test_ac_identity_various_sets():
     lopsided = CharacteristicSet(q=13, part0=frozenset({0, 1, 5}),
                                  part1=frozenset({2, 7}))
     assert seqkit.verify_ac_identity(lopsided)
+
+
+@st.composite
+def random_sets(draw):
+    q = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    residues = st.frozensets(st.integers(0, q - 1))
+    return CharacteristicSet(q=q, part0=draw(residues), part1=draw(residues))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_sets())
+def test_ac_identity_on_random_sets(cset):
+    assert seqkit.verify_ac_identity(cset)
 
 
 def test_classify_sequence_three_level():

@@ -1,9 +1,13 @@
 """Differential tests of the table-derived stratum spectrum against direct
-pair counting, the order-12 sweep and the y-sign calibration."""
+pair counting, the narrowed sweep against its full-grid reference, the
+order-12 sweep decisions and the y-sign calibration."""
 
+import random
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
+from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +89,80 @@ def test_sweep_decision_equals_stratum_classification(case):
 
 def test_sweep_pairs_reach_hits():
     assert all(sweep_hits(q, z) for q in SWEEP_PRIMES for z in (False, True))
+
+
+def full_grid_hit_pairs(sys, include_zero):
+    """Reference sweep: every stratum on the full C(d, d/2)**2 grid, one dense
+    integer matrix product per class h."""
+    d, q, f = sys.d, sys.q, sys.f
+    tnp = np.array(sys.table.counts, dtype=np.int64)
+    subsets = list(combinations(range(d), d // 2))
+    ns = len(subsets)
+    member = np.zeros((ns, d), dtype=np.int64)
+    for i, s in enumerate(subsets):
+        member[i, list(s)] = 1
+    _, _, lam, tcount = dhm.theorem_parameters(q, include_zero)
+    ok = np.ones((ns, ns), dtype=bool)
+    lam_count = np.zeros((ns, ns), dtype=np.int64)
+    for h in range(d):
+        idx = [(i + h) % d for i in range(d)]
+        th = tnp[np.ix_(idx, idx)]
+        m = member @ th @ member.T   # m[a,b] = sum_{i in A, j in B} (i+h, j+h)
+        diag = m.diagonal()
+        if include_zero:
+            delta = member[:, (-h) % d] + member[:, (sys.minus_one_class - h) % d]
+        else:
+            delta = np.zeros(ns, dtype=np.int64)
+        v0 = diag[:, None] + diag[None, :] + delta[:, None]
+        v1 = m + m.T + delta[None, :]
+        for v in (v0, v1):
+            ok &= (v == lam) | (v == lam + 1)
+            lam_count += (v == lam) * f
+    z = 2 * f * (member @ member.T)
+    ok &= (z == lam) | (z == lam + 1)
+    lam_count += z == lam
+    ok &= lam_count == tcount
+    return [(subsets[a], subsets[b]) for a, b in zip(*np.nonzero(ok))]
+
+
+def test_narrowed_sweep_equals_full_grid():
+    """hit_pairs against the full-grid reference in both zero variants: at
+    d in {4, 6, 8, 10} for every f-odd prime below 500, and at d = 12 for
+    q in SWEEP_PRIMES."""
+    cases = [(q, d) for d in (4, 6, 8, 10) for q in search.search_primes(d, 499)]
+    cases += [(q, 12) for q in SWEEP_PRIMES]
+    hits = 0
+    for q, d in cases:
+        sys = classes(q, d)
+        for include_zero in (False, True):
+            got = dhm.hit_pairs(sys, include_zero)
+            assert got == full_grid_hit_pairs(sys, include_zero), (q, d, include_zero)
+            hits += len(got)
+    assert hits > 0
+
+
+def test_narrowed_sweep_equals_full_grid_on_synthetic_tables():
+    """The same equality on tables that are not cyclotomic: all ones with a
+    few entries moved by one, so that most strata sit at lam or lam + 1.
+    Real tables tie the checks together: d_I(w) = d_I(-w) makes the strata h
+    and h + d/2 equal, and the differences sum to k(k-1), which fixes the lam
+    count once every stratum is in {lam, lam+1}.  These tables do not, so a
+    check that real tables make redundant, such as the lam count, can change
+    the result here."""
+    hits = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        d, q = rng.choice([(4, 13), (4, 17), (6, 31), (6, 37)])
+        down, up = rng.random() / 2, rng.random() / 5
+        counts = [[1 - (rng.random() < down) + (rng.random() < up) for _ in range(d)]
+                  for _ in range(d)]
+        sys = SimpleNamespace(d=d, q=q, f=(q - 1) // d, minus_one_class=d // 2,
+                              table=SimpleNamespace(counts=counts))
+        for include_zero in (False, True):
+            got = dhm.hit_pairs(sys, include_zero)
+            assert got == full_grid_hit_pairs(sys, include_zero), (seed, include_zero)
+            hits += len(got)
+    assert hits > 0
 
 
 def test_predicted_spectrum_equals_stratum_spectrum():
