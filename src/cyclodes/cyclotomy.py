@@ -11,7 +11,11 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
     of truth.
   * Jacobi sums live in the ring Z[beta], beta = exp(2*pi*1j/12), represented
     exactly on the integral basis {1, beta, beta**2, beta**3} with
-    beta**4 = beta**2 - 1.  No floating point anywhere.
+    beta**4 = beta**2 - 1.  No floating point anywhere.  Each J(m, n) is a
+    Z[beta]-linear combination of the order-12 cyclotomic numbers (Berndt,
+    Evans and Williams, Gauss and Jacobi Sums, 1998, ch. 2), so jacobi_sum
+    reads it off the counted table; the c parameter and the case split behind
+    every calibration need no second pass over GF(q).
   * For q = 12f + 1 the splitting parameters are the quadratic partitions
     q = x**2 + 4*y**2 = A**2 + 3*B**2 with x = 1 (mod 4), A = 1 (mod 6).  The
     order-4 parameters s, |t| of q = s**2 + 4*t**2 (q = 5 mod 8) solve the
@@ -310,9 +314,6 @@ class CyclotomicInteger12:
             raise ArithmeticError(f"|z|^2 not a rational integer: {prod}")
         return prod.c0
 
-    def is_zero(self) -> bool:
-        return self.c0 == self.c1 == self.c2 == self.c3 == 0
-
 
 def _beta_powers() -> tuple[CyclotomicInteger12, ...]:
     out = [CyclotomicInteger12(1, 0, 0, 0)]
@@ -327,23 +328,27 @@ _BETA_POWERS = _beta_powers()
 
 
 def jacobi_sum(sys: CyclotomicSystem, m: int, n: int) -> CyclotomicInteger12:
-    """Sum of beta**(m*Ind(a) + n*Ind(b)) over a + b = 1, a, b in GF(q)*.
+    """J(m, n): the sum of beta**(m*Ind(a) + n*Ind(b)) over a + b = 1, a, b in
+    GF(q)*, read off the order-12 table in 144 terms:
 
-    Requires d = 12 so that exponents reduce mod 12.
+        J(m, n) = sum over i, j of (i, j)_12 * beta**(m*(i - e) + n*j),
+
+    e the class of -1.  a in D_{i-e} with 1 - a in D_j is exactly x = -a in
+    D_i with x + 1 in D_j, and x runs over [1, q-2] as the table counts it, so
+    the relation is exact for f odd and even (Berndt, Evans and Williams,
+    Gauss and Jacobi Sums, 1998, ch. 2).  Requires d = 12.
     """
     if sys.d != 12:
         raise ValueError("Jacobi sums are implemented for order 12 only")
-    q, ind = sys.q, sys.index.ind
-    coeffs = [0, 0, 0, 0]
-    for a in range(2, q):
-        b = (1 - a) % q
-        e = (m * ind[a] + n * ind[b]) % 12
-        p = _BETA_POWERS[e]
-        coeffs[0] += p.c0
-        coeffs[1] += p.c1
-        coeffs[2] += p.c2
-        coeffs[3] += p.c3
-    return CyclotomicInteger12(*coeffs)
+    e = sys.minus_one_class
+    weight = [0] * 12          # weight[k]: how many terms equal beta**k
+    for i, row in enumerate(sys.table.counts):
+        for j, count in enumerate(row):
+            weight[(m * (i - e) + n * j) % 12] += count
+    total = CyclotomicInteger12()
+    for w, power in zip(weight, _BETA_POWERS):
+        total += CyclotomicInteger12.from_int(w) * power
+    return total
 
 
 def c_parameter(sys: CyclotomicSystem) -> int:

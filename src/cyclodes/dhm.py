@@ -46,6 +46,7 @@ import numpy as np
 from . import cyclotomy
 from .adsets import CharacteristicSet, DifferenceSpectrum, classify, distance_spectrum
 from .cyclotomy import CyclotomicSystem, QuadraticPartition
+from .ff import check_prime_modulus
 
 # ---------------------------------------------------------------------------
 # named order-12 index-set patterns
@@ -481,9 +482,18 @@ def calibrated_system(q: int, order: int) -> tuple[CyclotomicSystem,
                                                     Order4Calibration | QuadraticPartition]:
     """The order-4 or order-12 class system at q and its calibration, built
     once for every condition verified there: (sys, calibrate_order4(sys)) or
-    (sys, calibrate_order12(sys))."""
+    (sys, calibrate_order12(sys)).
+
+    The one q check of verify, for auto and every named condition alike: q
+    must be a supported prime, then q = 5 (mod 8) at order 4 and q = 12f + 1
+    with f odd at order 12."""
     if order not in (4, 12):
         raise ValueError("order must be 4 or 12")
+    check_prime_modulus(q)
+    if order == 4 and q % 8 != 5:
+        raise ValueError(f"q={q} is not 5 mod 8")
+    if order == 12 and q % 24 != 13:
+        raise ValueError(f"q={q} is not 12f+1 with f odd")
     sys = cyclotomy.build_classes(q, order)
     return sys, calibrate_order4(sys) if order == 4 else calibrate_order12(sys)
 
@@ -554,8 +564,6 @@ def verify_family(q: int, order: int, condition: str,
     """
     variants = (False, True) if include_zero is None else (include_zero,)
     if order == 4:
-        if q % 8 != 5:
-            raise ValueError(f"q={q} is not 5 mod 8")
         sys, cal = calibrated or calibrated_system(q, 4)
         report = FamilyReport(q=q, order=4, condition=condition,
                               calibrated_sign=cal.partition.t_signed)
@@ -572,8 +580,6 @@ def verify_family(q: int, order: int, condition: str,
         return report
 
     if order == 12:
-        if (q - 1) % 12 != 0 or ((q - 1) // 12) % 2 == 0:
-            raise ValueError(f"q={q} is not 12f+1 with f odd")
         sys, part = calibrated or calibrated_system(q, 12)
         report = FamilyReport(q=q, order=12, condition=condition,
                               calibrated_sign=part.y_signed)

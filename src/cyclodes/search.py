@@ -3,8 +3,12 @@ cyclotomic orders 4, 6, 8, 10, 12, and cross-prime family aggregation.
 
 Search space: ordered pairs (I, J) of class-index subsets with
 |I| = |J| = d/2, optionally adjoining (0,0), over primes q = d*f + 1 with f
-odd.  That is the only size split that can reach the target parameter shapes
-(k = q - 1 or q).
+odd.  The balanced split is a choice, not a theorem: every split with
+|I| + |J| = d gives k = q - 1 or q, and at f = 1 unbalanced splits do reach
+the target parameters (ordered hits plain / with zero: 16/8 at q = 5, d = 4;
+120/0 at q = 7, d = 6; 480/140 at q = 11, d = 10), which the sweep misses.
+No other f-odd prime tried has an unbalanced hit (below 800 at d in {4, 6},
+below 500 at d = 8; see tests/test_search.py and tests/test_extended.py).
 
 Method: a construction's difference function is constant on 25 strata (2d+1
 for general d: one per (slice, class) pair, plus the (1,0) shift), and each

@@ -106,6 +106,23 @@ def test_verify_order4_wrong_residue(capsys):
     assert "5 mod 8" in err
 
 
+@pytest.mark.parametrize("q, order", [
+    (73, 12), (97, 12),     # 12f+1 with f even
+    (25, 12),               # composite
+    (3, 12), (19, 4),       # d does not divide q - 1
+    (1, 4),                 # below the supported range
+])
+def test_verify_bad_prime_same_error_for_every_condition(capsys, q, order):
+    from cyclodes import dhm
+    named = dhm.ORDER12_CONDITIONS if order == 12 else dhm.ORDER4_CONDITIONS
+    results = {cond: run(capsys, "verify", "--q", str(q), "--order", str(order),
+                         "--condition", cond)
+               for cond in ("auto",) + named}
+    code, out, err = results["auto"]
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert all(r == results["auto"] for r in results.values()), results
+
+
 def test_verify_unknown_condition(capsys):
     code, _, err = run(capsys, "verify", "--q", "37", "--order", "12",
                        "--condition", "zzz")

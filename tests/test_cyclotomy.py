@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclodes import cyclotomy as cy
+from cyclodes import ff
 from cyclodes.cyclotomy import CyclotomicInteger12 as Z12
 
 
@@ -174,6 +175,33 @@ def test_jacobi_sum_value_q13():
     s = cy.build_classes(13, 12, 2)
     assert cy.jacobi_sum(s, 3, 1) == Z12(-2, 0, 0, -3)
     assert cy.jacobi_sum(s, 5, 1) == Z12(-3, 0, 0, 2)
+
+
+def direct_jacobi_sum(s, m, n):
+    """The oracle: beta**(m*Ind(a) + n*Ind(1 - a)) summed over a in [2, q-1]."""
+    q, ind = s.q, s.index.ind
+    weight = [0] * 12
+    for a in range(2, q):
+        weight[(m * ind[a] + n * ind[q + 1 - a]) % 12] += 1
+    total = Z12()
+    for k, w in enumerate(weight):
+        total += Z12.from_int(w) * Z12.root_power(k)
+    return total
+
+
+ORDER12_PRIMES = [q for q in range(13, 3000, 12) if ff.is_prime(q)]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from([q for q in ORDER12_PRIMES if q % 24 == 13]),    # f odd
+                 st.sampled_from([q for q in ORDER12_PRIMES if q % 24 == 1])))    # f even
+@example(13)    # f = 1 odd
+@example(73)    # f = 6 even
+def test_jacobi_sum_table_route_equals_direct_sum(q):
+    s = cy.build_classes(q, 12)
+    for m in range(12):
+        for n in range(12):
+            assert cy.jacobi_sum(s, m, n) == direct_jacobi_sum(s, m, n), (q, m, n)
 
 
 def test_jacobi_norms_are_q():

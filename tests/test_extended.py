@@ -1,4 +1,4 @@
-"""Extended validation sweeps beyond the acceptance scope (~65 s total).
+"""Extended validation sweeps beyond the acceptance scope (~80 s total).
 
 Opt in with CYCLODES_EXTENDED=1; the default suite keeps the spec'd ranges.
 """
@@ -8,6 +8,8 @@ import os
 import pytest
 
 from cyclodes import adsets, cyclotomy, dhm, ff
+from test_cyclotomy import direct_jacobi_sum
+from test_search import unbalanced_hit_primes
 from test_stratum import full_grid_hit_pairs
 
 pytestmark = pytest.mark.skipif(not os.environ.get("CYCLODES_EXTENDED"),
@@ -71,3 +73,13 @@ def test_narrowed_sweep_equals_full_grid_to_2000():
         for include_zero in (False, True):
             assert dhm.hit_pairs(s, include_zero) == full_grid_hit_pairs(s, include_zero), \
                 (q, include_zero)
+
+
+def test_unbalanced_splits_miss_at_order8_to_500():
+    assert unbalanced_hit_primes(8, 500) == {}
+
+
+def test_jacobi_sums_from_table_near_q_limit():
+    s = cyclotomy.build_classes(1046557, 12)
+    for m, n in ((3, 1), (5, 1)):
+        assert cyclotomy.jacobi_sum(s, m, n) == direct_jacobi_sum(s, m, n)

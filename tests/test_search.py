@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 from cyclodes import cyclotomy, dhm, search
+from cyclodes.adsets import DifferenceSpectrum, classify
 
 
 def test_enumerate_pairs_counts():
@@ -23,6 +26,36 @@ def test_exhaustive_search_rejects_bad_inputs():
         search.exhaustive_search(13, 5, False)
     with pytest.raises(ValueError):
         search.exhaustive_search(73, 12, False)     # f even
+
+
+def unbalanced_hits(q, d):
+    """(plain, with zero) counts of ordered pairs (I, J) with |I| + |J| = d,
+    |I| != d/2, that reach the target parameters: the splits the sweep skips."""
+    s = cyclotomy.build_classes(q, d)
+    counts = []
+    for include_zero in (False, True):
+        target = dhm.theorem_parameters(q, include_zero)
+        n = 0
+        for a in range(d + 1):
+            if 2 * a == d:
+                continue
+            for I in combinations(range(d), a):
+                for J in combinations(range(d), d - a):
+                    hist = cyclotomy.stratum_spectrum(s.table, I, J, include_zero)
+                    spec = DifferenceSpectrum(n=2 * q, k=q - 1 + include_zero, histogram=hist)
+                    n += classify(spec).parameters == target
+        counts.append(n)
+    return tuple(counts)
+
+
+def unbalanced_hit_primes(d, bound):
+    return {q: h for q in search.search_primes(d, bound) if any(h := unbalanced_hits(q, d))}
+
+
+def test_unbalanced_splits_hit_only_at_f1():
+    # the sweep covers |I| = |J| = d/2 by choice; at q = d + 1 it misses these
+    assert unbalanced_hit_primes(4, 200) == {5: (16, 8)}
+    assert unbalanced_hit_primes(6, 200) == {7: (120, 0)}
 
 
 def _named(hits):
