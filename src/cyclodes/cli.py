@@ -24,6 +24,11 @@ from pathlib import Path
 
 from . import adsets, cyclotomy, dhm, search, seqkit
 
+# verify and sequence run the O(q^2) direct-count oracles (difference function,
+# autocorrelation): just below this q they already take 11 s and 36 s (README
+# "Cost"), and near 2**20 they would take days.
+ORACLE_Q_LIMIT = 1 << 13
+
 
 def _out(args, text: str) -> None:
     if getattr(args, "output", None):
@@ -126,6 +131,12 @@ def cmd_cycnums(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _check_oracle_range(q: int) -> None:
+    if q >= ORACLE_Q_LIMIT:
+        raise ValueError(f"q={q} is too large for the direct-count oracles of "
+                         f"verify and sequence: q must be below 2**13")
+
+
 def _conditions_for(args):
     """The conditions to verify, with the calibrated system that auto
     resolved them on (None for a named condition)."""
@@ -143,6 +154,7 @@ def _conditions_for(args):
 
 
 def cmd_verify(args) -> int:
+    _check_oracle_range(args.q)
     if args.order == 4 and args.condition not in dhm.ORDER4_CONDITIONS + ("auto",):
         raise ValueError(f"unknown order-4 condition {args.condition!r}")
     if args.order == 12 and args.condition not in dhm.ORDER12_CONDITIONS + ("auto",):
@@ -221,6 +233,7 @@ def _recipe_set(args) -> adsets.CharacteristicSet:
 
 
 def cmd_sequence(args) -> int:
+    _check_oracle_range(args.q)
     cset = _recipe_set(args)
     seq = seqkit.set_sequence(cset)
     profile = seqkit.autocorrelation(seq)

@@ -1,6 +1,10 @@
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclodes import adsets, cyclotomy, dhm
 from cyclodes.adsets import CharacteristicSet
@@ -61,6 +65,48 @@ def test_spectrum_double_count_random_sets():
         cset = CharacteristicSet(q=q, part0=part0, part1=part1)
         spec = adsets.distance_spectrum(cset)   # __post_init__ checks both identities
         assert sum(spec.histogram.values()) == 2 * q - 1
+
+
+@st.composite
+def slice_sets(draw):
+    """Sets on Z2 x Zq, q odd in [3, 61]: random, empty or full slices, with
+    or without (0,0), and a difference block size that forces row chunking."""
+    q = draw(st.integers(1, 30)) * 2 + 1
+    residues = {"random": st.frozensets(st.integers(1, q - 1)),
+                "empty": st.just(frozenset()), "full": st.just(frozenset(range(1, q)))}
+    part0 = draw(st.sampled_from(sorted(residues)).flatmap(residues.get))
+    part1 = draw(st.sampled_from(sorted(residues)).flatmap(residues.get))
+    zero0, zero1 = draw(st.booleans()), draw(st.booleans())
+    cset = CharacteristicSet(q=q, part0=part0 | ({0} if zero0 else set()),
+                             part1=part1 | ({0} if zero1 else set()))
+    return cset, draw(st.sampled_from([1, 5, adsets.DIFFERENCE_BLOCK]))
+
+
+def looped_spectrum(cset):
+    """The shift-by-shift histogram of distance_at, the reference loop."""
+    histogram = {}
+    for w1 in (0, 1):
+        for w2 in range(cset.q):
+            if (w1, w2) != (0, 0):
+                d = adsets.distance_at(cset, w1, w2)
+                histogram[d] = histogram.get(d, 0) + 1
+    return histogram
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(slice_sets())
+@example((CharacteristicSet(q=3, part0=frozenset(), part1=frozenset()), 1))
+@example((CharacteristicSet(q=61, part0=frozenset(range(61)), part1=frozenset(range(61))), 5))
+@example((CharacteristicSet(q=13, part0=frozenset({0}), part1=frozenset()), 1))
+def test_difference_function_equals_distance_at(case):
+    cset, block = case
+    with mock.patch.object(adsets, "DIFFERENCE_BLOCK", block):
+        same, cross = adsets.difference_function(cset)
+        histogram = adsets.distance_spectrum(cset).histogram
+    assert same.dtype == cross.dtype == np.int64 and same.shape == cross.shape == (cset.q,)
+    assert same.tolist() == [adsets.distance_at(cset, 0, w) for w in range(cset.q)]
+    assert cross.tolist() == [adsets.distance_at(cset, 1, w) for w in range(cset.q)]
+    assert histogram == looped_spectrum(cset)
 
 
 def test_restricted_distance_q13():

@@ -200,6 +200,31 @@ def test_serial_cli_does_not_load_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--q", "8221", "--order", "12"),
+    ("verify", "--q", "8221", "--order", "12", "--condition", "x1"),
+    ("verify", "--q", "8221", "--order", "4"),
+    ("verify", "--q", "8237", "--order", "4", "--condition", "t1"),
+    ("sequence", "--q", "8221", "--order", "12", "--recipe", "A,E"),
+    ("sequence", "--q", "8237", "--order", "4", "--recipe", "0,1,2"),
+])
+def test_oracle_commands_reject_q_at_limit(monkeypatch, capsys, argv):
+    # valid primes past 2**13: refused before any table or oracle count
+    from cyclodes import adsets, cyclotomy, seqkit
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached a table or oracle past the q check")
+
+    monkeypatch.setattr(cyclotomy, "build_classes", unreachable)
+    monkeypatch.setattr(seqkit, "autocorrelation", unreachable)
+    monkeypatch.setattr(adsets, "difference_function", unreachable)
+    monkeypatch.setattr(seqkit, "difference_function", unreachable)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "2**13" in err
+    assert cli.ORACLE_Q_LIMIT == 2 ** 13
+
+
 def test_sequence_q13(capsys):
     code, out, _ = run(capsys, "sequence", "--q", "13", "--order", "12",
                        "--recipe", "A,E")

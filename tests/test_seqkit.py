@@ -66,6 +66,33 @@ def test_ac_identity_various_sets():
     assert seqkit.verify_ac_identity(lopsided)
 
 
+def test_ac_identity_rejects_a_wrong_profile():
+    cset = _theorem_set_q13()
+    values = list(seqkit.autocorrelation(seqkit.set_sequence(cset)).values)
+    assert seqkit.verify_ac_identity(cset, seqkit.AutocorrelationProfile(tuple(values)))
+    moved = values.copy()
+    moved[5] += 4                      # one sidelobe off by one difference
+    assert not seqkit.verify_ac_identity(cset, seqkit.AutocorrelationProfile(tuple(moved)))
+    wrong_peak = values.copy()
+    wrong_peak[0] = 26 - 4             # AC(0) != n, every sidelobe right
+    assert not seqkit.verify_ac_identity(cset, seqkit.AutocorrelationProfile(tuple(wrong_peak)))
+
+
+def test_ac_identity_counts_differences_once(monkeypatch):
+    counts = {"difference_function": 0, "distance_at": 0, "distance_spectrum": 0}
+    for name in counts:
+        original = getattr(adsets, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (adsets, seqkit):
+            monkeypatch.setattr(module, name, counting)
+    assert seqkit.verify_ac_identity(_theorem_set_q13())
+    assert counts == {"difference_function": 1, "distance_at": 0, "distance_spectrum": 0}
+
+
 @st.composite
 def random_sets(draw):
     q = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
