@@ -6,9 +6,9 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
   * D_i = {g**(k*d + i) : 0 <= k < f} is the i-th cyclotomic class of order d,
     i.e. a lands in class Ind(a) mod d.  The classes partition GF(q)*.
   * The cyclotomic number (m,n)_d = |(D_m + 1) & D_n| is always computed here
-    by one exact pass over GF(q)* (count a with a in D_m, a+1 in D_n); the
-    closed-form coefficient matrix below is a cross-check, never the source
-    of truth.
+    by one exact count over GF(q)* (count a with a in D_m, a+1 in D_n), a
+    single bincount of the class pairs; the closed-form coefficient matrix
+    below is a cross-check, never the source of truth.
   * Jacobi sums live in the ring Z[beta], beta = exp(2*pi*1j/12), represented
     exactly on the integral basis {1, beta, beta**2, beta**3} with
     beta**4 = beta**2 - 1.  No floating point anywhere.  Each J(m, n) is a
@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 from .ff import IndexTable, build_index_table, check_prime_modulus, find_primitive_root
 
 
@@ -37,11 +39,12 @@ from .ff import IndexTable, build_index_table, check_prime_modulus, find_primiti
 # cyclotomic classes and numbers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclotomicSystem:
     """Order-d class structure of GF(q)* for a fixed primitive root g.
 
-    class_of[a] = Ind(a) mod d for a in [1, q-1]; class_of[0] is -1 (unused).
+    class_of is a read-only int64 array: class_of[a] = Ind(a) mod d for a in
+    [1, q-1]; class_of[0] is -1 (unused).  Element reads return Python ints.
     """
 
     q: int
@@ -49,20 +52,22 @@ class CyclotomicSystem:
     f: int
     g: int
     index: IndexTable
-    class_of: tuple[int, ...]
+    class_of: np.ndarray
 
     def klass(self, a: int) -> int:
         a %= self.q
         if a == 0:
             raise ValueError("0 belongs to no cyclotomic class")
-        return self.class_of[a]
+        return int(self.class_of[a])
 
     def class_members(self, i: int) -> list[int]:
-        return [a for a in range(1, self.q) if self.class_of[a] == i % self.d]
+        return np.flatnonzero(self.class_of == i % self.d).tolist()
 
     def union(self, indices) -> frozenset[int]:
-        idx = {i % self.d for i in indices}
-        return frozenset(a for a in range(1, self.q) if self.class_of[a] in idx)
+        # A membership test, never a class mask indexed by class_of: there
+        # class_of[0] = -1 would wrap to the last class and let 0 in.
+        idx = sorted({i % self.d for i in indices})
+        return frozenset(np.flatnonzero(np.isin(self.class_of, idx)).tolist())
 
     @property
     def minus_one_class(self) -> int:
@@ -83,11 +88,11 @@ def build_classes(q: int, d: int, g: int | None = None) -> CyclotomicSystem:
     if g is None:
         g = find_primitive_root(q)
     index = build_index_table(q, g)
-    class_of = [-1] * q
-    for a in range(1, q):
-        class_of[a] = index.ind[a] % d
+    class_of = index.ind % d
+    class_of[0] = -1
+    class_of.flags.writeable = False
     return CyclotomicSystem(q=q, d=d, f=(q - 1) // d, g=g, index=index,
-                            class_of=tuple(class_of))
+                            class_of=class_of)
 
 
 @dataclass(frozen=True)
@@ -110,11 +115,12 @@ class CyclotomicNumberTable:
 
 
 def cyclotomic_numbers(sys: CyclotomicSystem) -> CyclotomicNumberTable:
-    """All (m,n)_d by a single pass: each a not in {0, -1} contributes one count."""
+    """All (m,n)_d in one count: each a not in {0, -1} adds one to the pair
+    (class of a, class of a + 1), a bincount of the codes cls[a]*d + cls[a+1]."""
     d, q, cls = sys.d, sys.q, sys.class_of
-    counts = [[0] * d for _ in range(d)]
-    for a in range(1, q - 1):
-        counts[cls[a]][cls[a + 1]] += 1
+    pairs = cls[1:q - 1] * d
+    pairs += cls[2:q]
+    counts = np.bincount(pairs, minlength=d * d).reshape(d, d).tolist()
     return CyclotomicNumberTable(q=q, d=d, counts=tuple(map(tuple, counts)))
 
 

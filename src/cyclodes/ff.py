@@ -2,7 +2,7 @@
 
 Conventions used throughout the package:
   * q is an odd prime, q >= 3, q < 2**20.  Prime powers are not supported;
-    every table is a dense Python list indexed by residue.
+    every table is a dense, read-only int64 numpy array indexed by residue.
   * The canonical primitive root of q is the *smallest* integer g >= 2 of
     multiplicative order q-1.  Fixing g makes every downstream object
     (cyclotomic classes, sign calibrations, search reports) deterministic.
@@ -12,7 +12,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 Q_LIMIT = 1 << 20
 
@@ -100,29 +103,48 @@ def find_primitive_root(q: int) -> int:
     raise ArithmeticError(f"no primitive root found for q={q}")  # unreachable for prime q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexTable:
-    """Dense discrete-log table: ind[a] = Ind(a) for a in [1, q-1]; ind[0] unused."""
+    """Dense discrete-log table: ind[a] = Ind(a) for a in [1, q-1]; ind[0] = 0, unused.
+
+    ind is a read-only int64 array; the call reads one index as a Python int.
+    """
 
     q: int
     g: int
-    ind: tuple[int, ...]
+    ind: np.ndarray
 
     def __call__(self, a: int) -> int:
         a %= self.q
         if a == 0:
             raise ValueError("Ind(0) is undefined")
-        return self.ind[a]
+        return int(self.ind[a])
 
 
 def build_index_table(q: int, g: int) -> IndexTable:
-    """Index table for primitive root g of q; rejects non-generators."""
+    """Index table for primitive root g of q; rejects non-generators.
+
+    The powers g**0 .. g**(q-2) are laid out row by row in a block matrix of
+    width = isqrt(q - 1) columns: entry (r, c) is g**(r*width) * g**c mod q,
+    so only the column g**0 .. g**(width-1) and the row of powers of
+    g**width take Python steps, about sqrt(q) each.  Every product is below
+    q**2 < 2**40, exact in int64; the last row is cut at q - 1 powers.
+    """
     check_prime_modulus(q)
     if not 2 <= g < q or multiplicative_order(g, q) != q - 1:
         raise ValueError(f"g={g} is not a primitive root of q={q}")
-    ind = [0] * q
-    x = 1
-    for k in range(q - 1):
-        ind[x] = k
-        x = x * g % q
-    return IndexTable(q=q, g=g, ind=tuple(ind))
+    n = q - 1
+    width = math.isqrt(n)
+    col = [1]
+    for _ in range(width - 1):
+        col.append(col[-1] * g % q)
+    step = col[-1] * g % q  # g**width
+    row = [1]
+    for _ in range(-(-n // width) - 1):
+        row.append(row[-1] * step % q)
+    powers = np.outer(np.array(row, dtype=np.int64), np.array(col, dtype=np.int64))
+    powers %= q
+    ind = np.zeros(q, dtype=np.int64)
+    ind[powers.ravel()[:n]] = np.arange(n, dtype=np.int64)
+    ind.flags.writeable = False
+    return IndexTable(q=q, g=g, ind=ind)

@@ -179,7 +179,7 @@ def test_jacobi_sum_value_q13():
 
 def direct_jacobi_sum(s, m, n):
     """The oracle: beta**(m*Ind(a) + n*Ind(1 - a)) summed over a in [2, q-1]."""
-    q, ind = s.q, s.index.ind
+    q, ind = s.q, s.index.ind.tolist()
     weight = [0] * 12
     for a in range(2, q):
         weight[(m * ind[a] + n * ind[q + 1 - a]) % 12] += 1

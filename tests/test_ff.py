@@ -76,8 +76,8 @@ def test_index_table_is_exact_log():
         t = ff.build_index_table(q, g)
         seen = set()
         for a in range(1, q):
-            assert pow(g, t.ind[a], q) == a
-            seen.add(t.ind[a])
+            assert pow(g, t(a), q) == a
+            seen.add(t(a))
         assert seen == set(range(q - 1))
 
 
