@@ -20,7 +20,6 @@ O(k) for callers that need only a few.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,16 +60,6 @@ class CharacteristicSet:
 
     def members(self) -> list[tuple[int, int]]:
         return [(0, a) for a in sorted(self.part0)] + [(1, a) for a in sorted(self.part1)]
-
-    def to_json(self) -> str:
-        return json.dumps({"q": self.q, "part0": sorted(self.part0),
-                           "part1": sorted(self.part1)}, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "CharacteristicSet":
-        obj = json.loads(text)
-        return CharacteristicSet(q=obj["q"], part0=frozenset(obj["part0"]),
-                                 part1=frozenset(obj["part1"]))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,10 @@ import numpy as np
 
 from .ff import IndexTable, build_index_table, check_prime_modulus, find_primitive_root
 
+# Largest order whose (m,n)_d table is counted: d*d int64 cells, 8 MB at the
+# limit, where d = q - 1 near q = 2**20 would ask for 8 TiB.
+TABLE_D_LIMIT = 1 << 10
+
 
 # ---------------------------------------------------------------------------
 # cyclotomic classes and numbers
@@ -118,6 +122,9 @@ def cyclotomic_numbers(sys: CyclotomicSystem) -> CyclotomicNumberTable:
     """All (m,n)_d in one count: each a not in {0, -1} adds one to the pair
     (class of a, class of a + 1), a bincount of the codes cls[a]*d + cls[a+1]."""
     d, q, cls = sys.d, sys.q, sys.class_of
+    if d > TABLE_D_LIMIT:
+        raise ValueError(f"d={d} is too large for the (m,n)_d table: "
+                         "d must be at most 2**10")
     pairs = cls[1:q - 1] * d
     pairs += cls[2:q]
     counts = np.bincount(pairs, minlength=d * d).reshape(d, d).tolist()
@@ -403,7 +410,6 @@ class CaseClassification:
     """
 
     q: int
-    f_odd: bool
     M: int
     M_prime: int
     c_index: int
@@ -428,8 +434,8 @@ def classify_case(sys: CyclotomicSystem) -> CaseClassification:
     Mp = sys.index(3)
     k = c_parameter(sys)
     case = _CASE_TABLE.get((Mp % 4, M % 6, k), OUTSIDE_TABLE)
-    return CaseClassification(q=sys.q, f_odd=True, M=M, M_prime=Mp,
-                              c_index=k, case_number=case)
+    return CaseClassification(q=sys.q, M=M, M_prime=Mp, c_index=k,
+                              case_number=case)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ route
 enumeration; the two are cross-checked in the test suite and the theorem
 recipes are always re-verified through the slow route.
 
+Jobs: each prime is one job on one class system, built once, swept, and
+read again for the prime's family gate (dhm.calibrate_order12 at d = 12,
+dhm.match_order4_conditions at d = 4); cross_prime_family_report aggregates.
+
 Determinism: hits are emitted sorted by (q, I, J); reports are
 byte-identical for any worker count.
 """
@@ -39,7 +43,6 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from . import cyclotomy, dhm
 from .ff import Q_LIMIT, is_prime
@@ -74,10 +77,6 @@ def enumerate_pairs(d: int, size_i: int, size_j: int):
             yield I, J
 
 
-def pair_count(d: int, size_i: int, size_j: int) -> int:
-    return comb(d, size_i) * comb(d, size_j)
-
-
 def search_primes(d: int, bound: int) -> list[int]:
     """Primes q = d*f + 1 with f odd, q <= bound < 2**20."""
     if bound >= Q_LIMIT:
@@ -86,21 +85,26 @@ def search_primes(d: int, bound: int) -> list[int]:
             if (q - 1) % d == 0 and ((q - 1) // d) % 2 == 1 and is_prime(q)]
 
 
+def _search_system(q: int, d: int) -> cyclotomy.CyclotomicSystem:
+    """The order-d class system of a search prime: q = d*f + 1 with f odd."""
+    if (q - 1) % d != 0 or ((q - 1) // d) % 2 == 0:
+        raise ValueError(f"search requires q = d*f + 1 with f odd (q={q}, d={d})")
+    return cyclotomy.build_classes(q, d)
+
+
+def _sweep(sys: cyclotomy.CyclotomicSystem, include_zero: bool) -> list[SearchHit]:
+    n, k, lam, tcount = dhm.theorem_parameters(sys.q, include_zero)
+    return [SearchHit(q=sys.q, d=sys.d, I=I, J=J, include_zero=include_zero,
+                      n=n, k=k, lam=lam, t=tcount)
+            for I, J in dhm.hit_pairs(sys, include_zero)]
+
+
 def exhaustive_search(q: int, d: int, include_zero: bool) -> list[SearchHit]:
     """Every (I, J) whose construction is an ADS with the target shape.
 
     Complete over all C(d, d/2)**2 ordered pairs (dhm.hit_pairs); sorted.
     """
-    if (q - 1) % d != 0:
-        raise ValueError(f"d={d} does not divide q-1")
-    f = (q - 1) // d
-    if f % 2 == 0:
-        raise ValueError(f"search requires f odd (q={q}, d={d})")
-    sys = cyclotomy.build_classes(q, d)
-    n, k, lam, tcount = dhm.theorem_parameters(q, include_zero)
-    return [SearchHit(q=q, d=d, I=I, J=J, include_zero=include_zero,
-                      n=n, k=k, lam=lam, t=tcount)
-            for I, J in dhm.hit_pairs(sys, include_zero)]
+    return _sweep(_search_system(q, d), include_zero)
 
 
 def exhaustive_search_direct(q: int, d: int, include_zero: bool) -> list[SearchHit]:
@@ -108,9 +112,7 @@ def exhaustive_search_direct(q: int, d: int, include_zero: bool) -> list[SearchH
     sizes; output identical to exhaustive_search."""
     from .adsets import CharacteristicSet, classify, distance_spectrum
 
-    if (q - 1) % d != 0 or ((q - 1) // d) % 2 == 0:
-        raise ValueError(f"search requires q = d*f + 1 with f odd (q={q}, d={d})")
-    sys = cyclotomy.build_classes(q, d)
+    sys = _search_system(q, d)
     n, k, lam, tcount = dhm.theorem_parameters(q, include_zero)
     target = (n, k, lam, tcount)
     hits = []
@@ -131,9 +133,11 @@ def exhaustive_search_direct(q: int, d: int, include_zero: bool) -> list[SearchH
 # parallel driver
 # ---------------------------------------------------------------------------
 
-def _search_one(args) -> list[SearchHit]:
-    q, d, include_zero = args
-    return exhaustive_search(q, d, include_zero)
+def _search_prime(job) -> tuple[list[SearchHit], dict[str, bool]]:
+    """One prime's hits and gate, both read off one class system."""
+    q, d, include_zero = job
+    sys = _search_system(q, d)
+    return _sweep(sys, include_zero), _gate_conditions(sys)
 
 
 def resolve_workers(workers: int) -> int:
@@ -144,21 +148,18 @@ def resolve_workers(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def exhaustive_search_many(primes, d: int, include_zero: bool,
-                           workers: int = 1) -> list[SearchHit]:
-    """Search several primes; identical results at any worker count."""
+def search_each_prime(primes, d: int, include_zero: bool,
+                      workers: int = 1) -> list[tuple[list[SearchHit], dict[str, bool]]]:
+    """(hits, gate) of each prime in increasing order, one job per prime;
+    identical results at any worker count."""
     workers = resolve_workers(workers)
     jobs = [(q, d, include_zero) for q in sorted(primes)]
     if workers == 1:
-        chunks = [_search_one(j) for j in jobs]
-    else:
-        # imported here so that serial runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_search_one, jobs))
-    hits = [h for chunk in chunks for h in chunk]
-    hits.sort(key=lambda h: (h.q, h.I, h.J))
-    return hits
+        return [_search_prime(j) for j in jobs]
+    # imported here so that serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_search_prime, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +177,15 @@ def canonical_shape(d: int, I, J) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return best
 
 
-def _gate_conditions(d: int, q: int) -> dict[str, bool]:
-    """Side conditions on the small partition parameters, per order."""
-    if d == 12:
-        sys = cyclotomy.build_classes(q, 12)
+def _gate_conditions(sys: cyclotomy.CyclotomicSystem) -> dict[str, bool]:
+    """Side conditions on the small partition parameters, per order, read off
+    the prime's own class system."""
+    if sys.d == 12:
         part = dhm.calibrate_order12(sys)
         return {"x1": part.x == 1, "y1": part.y_signed == 1,
                 "ym1": part.y_signed == -1}
-    if d == 4:
-        sys = cyclotomy.build_classes(q, 4)
-        cal = dhm.match_order4_conditions(sys)
-        part = cal.partition
+    if sys.d == 4:
+        part = dhm.match_order4_conditions(sys).partition
         return {"t1": part.t_signed == 1, "tm1": part.t_signed == -1,
                 "s1": part.x == 1}
     return {"always": True}
@@ -233,24 +232,23 @@ def cross_prime_family_report(d: int, bound: int, include_zero: bool,
     """
     if primes is None:
         primes = search_primes(d, bound)
-    primes = sorted(primes)
-    hits = exhaustive_search_many(primes, d, include_zero, workers=workers)
-
+    primes = sorted(set(primes))
+    per_prime = search_each_prime(primes, d, include_zero, workers=workers)
+    hits: list[SearchHit] = []
     shape_primes: dict[tuple, list[int]] = {}
-    for h in hits:
-        key = canonical_shape(d, h.I, h.J)
-        shape_primes.setdefault(key, [])
-        if h.q not in shape_primes[key]:
-            shape_primes[key].append(h.q)
-
-    gates = {q: _gate_conditions(d, q) for q in primes}
-    condition_sets = {}
-    for name in (next(iter(gates.values())) if gates else {"always": True}):
-        condition_sets[name] = [q for q in primes if gates[q][name]]
+    condition_sets: dict[str, list[int]] = {}
+    for q, (prime_hits, gate) in zip(primes, per_prime):
+        hits += prime_hits
+        for shape in {canonical_shape(d, h.I, h.J) for h in prime_hits}:
+            shape_primes.setdefault(shape, []).append(q)
+        for name, holds in gate.items():
+            condition_sets.setdefault(name, [])
+            if holds:
+                condition_sets[name].append(q)
 
     families, sporadic = [], []
     for shape in sorted(shape_primes):
-        passed = sorted(shape_primes[shape])
+        passed = shape_primes[shape]
         shape_id = "I" + "".join(f"{i:x}" for i in shape[0]) + \
                    "-J" + "".join(f"{j:x}" for j in shape[1])
         matched = sorted(name for name, qs in condition_sets.items()

@@ -177,13 +177,6 @@ def test_zero_pair_correction_identity():
         assert adsets.distance_at(extended, 1, 0) == adsets.distance_at(plain, 1, 0)
 
 
-def test_serialization_roundtrip():
-    cset = _theorem_set_q13()
-    text = cset.to_json()
-    assert CharacteristicSet.from_json(text) == cset
-    assert '"part0":[1,2,3,5,6,9]' in text.replace(" ", "")
-
-
 def test_membership_validation():
     with pytest.raises(ValueError):
         CharacteristicSet(q=7, part0=frozenset({7}), part1=frozenset())

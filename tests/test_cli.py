@@ -55,6 +55,21 @@ def test_cycnums_d2(capsys):
     assert sum(map(sum, counts)) == 11
 
 
+def test_cycnums_rejects_order_past_table_limit(monkeypatch, capsys):
+    # a (m,n)_d table of d = q - 1 near 2**20 would need 8 TiB: the order is
+    # refused before anything is counted
+    from cyclodes import cyclotomy
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("counted past the order check")
+
+    monkeypatch.setattr(cyclotomy.np, "bincount", unreachable)
+    code, out, err = run(capsys, "cycnums", "--q", "1048573", "--d", "1048572")
+    assert code == 2 and out == ""
+    assert err == ("error: d=1048572 is too large for the (m,n)_d table: "
+                   "d must be at most 2**10\n")
+
+
 def test_verify_x1_q37(capsys):
     code, out, _ = run(capsys, "verify", "--q", "37", "--order", "12",
                        "--condition", "x1")
@@ -154,6 +169,47 @@ def test_search_determinism_across_workers(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+# sha256 of the hit JSONL (stdout) and of the family CSV per (d, bound,
+# include_zero), as recorded in perfbench/workloads.py::SEARCH_REFERENCE
+SEARCH_DIGESTS = {
+    (12, 400, False): ("8eed9a132ca4b5493583d08ea4ab9ba51a87e1a0d6dab1842c33a019aab5d5d1",
+                       "3fa5d60ddfc1125d74e026b9b499083379a95af9c8ecb92e9268025db517e26e"),
+    (12, 400, True): ("49eb6ffbfc70644d30179ceddcc1652e97fd2f66be68cc3d2f09c041ad93310a",
+                      "e442b9075d80fcdb2c89d8d7d99e1908679ec4af7a2b23a2f17e9aebe3c7fdee"),
+    (4, 300, False): ("3894199541dd38916efc93075811e3ea2e89d9702ea3411f3f6f3306c63df208",
+                      "3d62342b7911fd08510f0ed341b414119fef3a56925bedfa7ad41bc313ea4b28"),
+    (4, 300, True): ("ffad5dd1a196889ef79806f642c8cb3a04e6db7059656bf49ef0e731493a5cc9",
+                     "04ddb557ccc57ad0e224bec966f1cea1f8cf2d0c9fe14968b169863d9bc84a31"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("d, bound, include_zero", sorted(SEARCH_DIGESTS))
+def test_search_output_bytes_match_reference(tmp_path, capsys, d, bound,
+                                             include_zero, workers):
+    import hashlib
+    argv = ["search", "--d", str(d), "--bound", str(bound), "--workers", workers,
+            "--report-dir", str(tmp_path)] + ["--include-zero"] * include_zero
+    code, out, _ = run(capsys, *argv)
+    csv = (tmp_path / f"family_report_d{d}.csv").read_text()
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(csv.encode()).hexdigest()) == SEARCH_DIGESTS[(d, bound, include_zero)]
+
+
+@pytest.mark.parametrize("d, bound, n_primes", [(12, 100, 3), (4, 60, 5)])
+def test_search_builds_one_system_per_prime(tmp_path, monkeypatch, capsys,
+                                            d, bound, n_primes):
+    # the sweep and the family gate of a prime read one class system and table
+    from cyclodes import cyclotomy
+    counts = count_calls(monkeypatch, cyclotomy, "build_classes",
+                         "cyclotomic_numbers", "build_index_table")
+    code, _, _ = run(capsys, "search", "--d", str(d), "--bound", str(bound),
+                     "--report-dir", str(tmp_path))
+    assert code == 0
+    assert counts == dict.fromkeys(counts, n_primes)
+
+
 def test_search_rejects_workers_below_one(tmp_path, capsys):
     for workers in ("0", "-4"):
         code, out, err = run(capsys, "search", "--d", "4", "--bound", "30",
@@ -171,7 +227,7 @@ def test_search_rejects_bound_at_q_limit(tmp_path, monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("swept primes past the bound check")
 
-    monkeypatch.setattr(search, "exhaustive_search_many", unreachable)
+    monkeypatch.setattr(search, "search_each_prime", unreachable)
     for bound in ("1048576", "1048700"):
         code, out, err = run(capsys, "search", "--d", "4", "--bound", bound,
                              "--report-dir", str(tmp_path))

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -9,7 +10,7 @@ from cyclodes.adsets import DifferenceSpectrum, classify
 def test_enumerate_pairs_counts():
     assert sum(1 for _ in search.enumerate_pairs(4, 2, 2)) == 36
     assert sum(1 for _ in search.enumerate_pairs(6, 3, 3)) == 400
-    assert search.pair_count(12, 6, 6) == 853776
+    assert comb(12, 6) ** 2 == sum(1 for _ in search.enumerate_pairs(12, 6, 6)) == 853776
     first = next(iter(search.enumerate_pairs(4, 2, 2)))
     assert first == ((0, 1), (0, 1))
 
@@ -197,16 +198,17 @@ def test_capped_worker_count_runs_serially(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
     primes = search.search_primes(4, 60)
-    assert search.exhaustive_search_many(primes, 4, False, workers=8) == \
-        search.exhaustive_search_many(primes, 4, False, workers=1)
+    assert search.search_each_prime(primes, 4, False, workers=8) == \
+        search.search_each_prime(primes, 4, False, workers=1)
 
 
 def test_parallel_search_determinism():
     primes = search.search_primes(4, 120)
-    solo = search.exhaustive_search_many(primes, 4, False, workers=1)
-    multi = search.exhaustive_search_many(primes, 4, False, workers=4)
+    solo = search.search_each_prime(primes, 4, False, workers=1)
+    multi = search.search_each_prime(primes, 4, False, workers=4)
     assert solo == multi
-    assert [h.to_json() for h in solo] == [h.to_json() for h in multi]
+    assert [h.to_json() for hits, _ in solo for h in hits] == \
+        [h.to_json() for hits, _ in multi for h in hits]
 
 
 def test_family_report_d12():
