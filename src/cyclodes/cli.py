@@ -47,11 +47,11 @@ def _json_dumps(obj) -> str:
 
 def cmd_classes(args) -> int:
     sys_ = cyclotomy.build_classes(args.q, args.d)
-    classes = {i: sys_.class_members(i) for i in range(args.d)}
+    classes = sys_.members_by_class()
     if args.format == "json":
         _out(args, _json_dumps({"q": args.q, "d": args.d, "g": sys_.g,
-                                "f": sys_.f, "classes": {str(i): classes[i]
-                                                         for i in classes}}))
+                                "f": sys_.f, "classes": {str(i): members for i, members
+                                                         in enumerate(classes)}}))
     elif args.format == "csv":
         lines = ["class,element"]
         for i in range(args.d):
@@ -143,11 +143,7 @@ def _conditions_for(args):
     if args.condition != "auto":
         return [args.condition], None
     calibrated = dhm.calibrated_system(args.q, args.order)
-    _, cal = calibrated
-    if args.order == 12:
-        conds = dhm.matching_conditions(12, cal)
-    else:
-        conds = sorted(set(cal.matched_no_zero))
+    conds = dhm.matching_conditions(args.order, calibrated[1])
     if not conds:
         raise ValueError(f"no condition applies at q={args.q} (order {args.order})")
     return conds, calibrated
@@ -192,6 +188,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_search(args) -> int:
+    if not Path(args.report_dir).is_dir():
+        raise ValueError(f"--report-dir {args.report_dir} is not a directory")
     report = search.cross_prime_family_report(
         args.d, args.bound, args.include_zero, workers=args.workers)
     out_lines = [h.to_json() for h in report.hits]
@@ -331,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

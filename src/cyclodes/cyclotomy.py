@@ -67,6 +67,12 @@ class CyclotomicSystem:
     def class_members(self, i: int) -> list[int]:
         return np.flatnonzero(self.class_of == i % self.d).tolist()
 
+    def members_by_class(self) -> list[list[int]]:
+        """class_members(i) for every i in [0, d), from one stable sort of
+        class_of, so the cost does not grow with d."""
+        order = np.argsort(self.class_of[1:], kind="stable") + 1
+        return order.reshape(self.d, self.f).tolist()
+
     def union(self, indices) -> frozenset[int]:
         # A membership test, never a class mask indexed by class_of: there
         # class_of[0] = -1 would wrap to the last class and let 0 in.
@@ -207,8 +213,8 @@ class QuadraticPartition:
     The order-4 parameters s, |t| (q = s**2 + 4*t**2, s = 1 mod 4) are x and
     y_abs by uniqueness.  y_signed / B_signed / t_signed stay None until
     calibrated against exact counts; B_signed is resolvable only for case-1
-    systems.  t_signed is fitted by the order-4 triple search, a calibration
-    separate from the one for y_signed.
+    systems.  t_signed is fitted the way y_signed is, against the order-4
+    triple search instead (dhm.calibrate_order4).
     """
 
     q: int

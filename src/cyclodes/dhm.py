@@ -16,11 +16,14 @@ Sign conventions: the congruences pin x and A but not y, B, t.  All signed
 parameters are *outputs* of calibration against exact counts (never inputs),
 keeping every verification non-circular:
   * y via the translate-overlap pattern of {0,1,4,5,8,9} (cyclotomy.resolve_signs),
-  * t via which order-4 condition list the exhaustive triple search returns.
+  * t the same way, as the one candidate sign (+1 or -1 at |t| = 1, None
+    otherwise) whose gated Corollary 1 and 2 lists reproduce the triples the
+    exhaustive order-4 search hits, with and without (0,0).
 Both read the exhaustive cyclotomic-number table sys.table, through
 cyclotomy.stratum_spectrum and stratum_distance; no closed form enters a
-calibration.  verify_family then classifies every recipe by direct pair
-counting (adsets.distance_spectrum), the independent oracle.
+calibration.  One gate table (gates) then says which conditions hold at q,
+for verify and search alike, and verify_family classifies every recipe by
+direct pair counting (adsets.distance_spectrum), the independent oracle.
 
 Closed-form branch convention: the restricted distances d_I(w), d_{I,J}(w)
 are piecewise constant on cyclotomic classes, with branches indexed by the
@@ -32,8 +35,11 @@ validation prime.
 With (0,0) adjoined, the slot order of (I, J) matters whenever one of the
 index sets is a parity pattern ({0,2,...,10} or {1,3,...,11}): exactly one
 order per unordered pair passes, and which one is decided by sign(y).  The
-x = 1 family passes in both orders.  predicted_classification reproduces
-this from the closed forms; verify_family reports recipe-by-recipe truth.
+calibrated y family passes with the parity pattern second, so that is the
+one order verify_family lists for a y family with (0,0), as the Corollary 2
+lists do at order 4.  The x = 1 family passes in both orders.
+predicted_classification reproduces the rule from the closed forms
+(zero_slot_pairs).
 """
 
 from __future__ import annotations
@@ -380,26 +386,6 @@ def zero_slot_pairs(q: int, part: QuadraticPartition):
 # calibration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Order4Calibration:
-    """Outcome of the order-4 triple search against the condition lists.
-
-    matched_* hold the condition names whose list (or, at q = 5, whose union
-    of lists) the exhaustive hit set equals; empty when nothing matches,
-    which is the expected state at primes with s != 1 and |t| != 1.
-    """
-
-    q: int
-    partition: QuadraticPartition
-    matched_no_zero: tuple[str, ...]
-    matched_with_zero: tuple[str, ...]
-    unexplained_hits: bool = False
-
-    @property
-    def t_signed(self) -> int | None:
-        return self.partition.t_signed
-
-
 def order4_hit_triples(sys: CyclotomicSystem, include_zero: bool) -> list[tuple[int, int, int]]:
     """All ordered distinct triples whose construction reaches the target
     parameters.  Triple (i, j, l) is the pair I = {i, j}, J = {l, j}; its
@@ -419,58 +405,44 @@ def order4_hit_triples(sys: CyclotomicSystem, include_zero: bool) -> list[tuple[
     return hits
 
 
-def _match_lists(hit_set: set, table: dict) -> tuple[str, ...] | None:
-    """Condition names whose lists exactly cover the hit set (singly, or as a
-    union of an s1 and a t list when both gates hold at once)."""
-    for name, trips in table.items():
-        if hit_set == set(trips):
-            return (name,)
-    for tname in ("t1", "tm1"):
-        if hit_set == set(table["s1"]) | set(table[tname]):
-            return tuple(sorted(("s1", tname)))
-    return None
-
-
-def match_order4_conditions(sys: CyclotomicSystem) -> Order4Calibration:
-    """Run the exhaustive triple search for both zero variants and match the
-    hit sets against the condition lists (lenient: no-match is not an error)."""
+def _t_fits(sys: CyclotomicSystem) -> tuple[QuadraticPartition, list[QuadraticPartition]]:
+    """The partition of sys.q and every t candidate that fits it: +1 and -1
+    when |t| = 1, None otherwise.  A candidate fits when the Corollary 1 and 2
+    lists of the conditions it gates reproduce the counted hit triples of
+    both zero variants."""
     if sys.d != 4:
         raise ValueError("order-4 calibration needs an order-4 system")
     part = cyclotomy.quadratic_partitions(sys.q)
-    matched = []
-    unexplained = False
-    for include_zero, table in ((False, COROLLARY1_TRIPLES), (True, COROLLARY2_TRIPLES)):
-        hit_set = set(order4_hit_triples(sys, include_zero))
-        m = _match_lists(hit_set, table)
-        if m is None:
-            m = ()
-            unexplained = unexplained or bool(hit_set)
-        matched.append(m)
-    names = set(matched[0]) | set(matched[1])
-    if "t1" in names and "tm1" not in names:
-        part = replace(part, t_signed=1)
-    elif "tm1" in names and "t1" not in names:
-        part = replace(part, t_signed=-1)
-    return Order4Calibration(q=sys.q, partition=part,
-                             matched_no_zero=matched[0],
-                             matched_with_zero=matched[1],
-                             unexplained_hits=unexplained)
+    hits = {z: set(order4_hit_triples(sys, z)) for z in (False, True)}
+    candidates = [replace(part, t_signed=t)
+                  for t in ((1, -1) if part.y_abs == 1 else (None,))]
+    return part, [c for c in candidates
+                  if all(hits[z] == {trip for cond in matching_conditions(4, c)
+                                     for trip in corollary_triples(cond, z)}
+                         for z in hits)]
 
 
-def calibrate_order4(sys: CyclotomicSystem) -> Order4Calibration:
-    """Strict calibration at a gated prime (|t| = 1 or s = 1): both zero
-    variants must match the same condition names, exactly one t-sign among
-    them.  Anything else is a hard error; a gateless prime is a usage error."""
-    cal = match_order4_conditions(sys)
-    part = cal.partition
+def match_order4_conditions(sys: CyclotomicSystem) -> QuadraticPartition:
+    """The partition of sys.q with the one t sign that fits (lenient: with no
+    fit t_signed stays None, the expected state at primes with s != 1 and
+    |t| != 1)."""
+    part, fits = _t_fits(sys)
+    return fits[0] if len(fits) == 1 else part
+
+
+def calibrate_order4(sys: CyclotomicSystem) -> QuadraticPartition:
+    """Strict calibration at a gated prime (|t| = 1 or s = 1): exactly one t
+    candidate must fit, None counting as the candidate at s = 1 primes.
+    Anything else is a hard error; a gateless prime is a usage error."""
+    part, fits = _t_fits(sys)
     if part.y_abs != 1 and part.x != 1:
         raise ValueError(
             f"q={sys.q} satisfies no order-4 condition (s={part.x}, |t|={part.y_abs})")
-    if not cal.matched_no_zero or cal.matched_no_zero != cal.matched_with_zero:
+    if len(fits) != 1:
         raise ArithmeticError(
-            f"order-4 calibration at q={sys.q}: no-zero matched "
-            f"{cal.matched_no_zero}, with-zero matched {cal.matched_with_zero}")
-    return cal
+            f"order-4 calibration at q={sys.q}: {len(fits)} t-sign candidates fit "
+            f"the hit triples")
+    return fits[0]
 
 
 def calibrate_order12(sys: CyclotomicSystem) -> QuadraticPartition:
@@ -478,11 +450,10 @@ def calibrate_order12(sys: CyclotomicSystem) -> QuadraticPartition:
     return cyclotomy.resolve_signs(sys, cyclotomy.quadratic_partitions(sys.q))
 
 
-def calibrated_system(q: int, order: int) -> tuple[CyclotomicSystem,
-                                                    Order4Calibration | QuadraticPartition]:
-    """The order-4 or order-12 class system at q and its calibration, built
-    once for every condition verified there: (sys, calibrate_order4(sys)) or
-    (sys, calibrate_order12(sys)).
+def calibrated_system(q: int, order: int) -> tuple[CyclotomicSystem, QuadraticPartition]:
+    """The order-4 or order-12 class system at q and its calibrated partition,
+    built once for every condition verified there: (sys, calibrate_order4(sys))
+    or (sys, calibrate_order12(sys)).
 
     The one q check of verify, for auto and every named condition alike: q
     must be a supported prime, then q = 5 (mod 8) at order 4 and q = 12f + 1
@@ -498,26 +469,23 @@ def calibrated_system(q: int, order: int) -> tuple[CyclotomicSystem,
     return sys, calibrate_order4(sys) if order == 4 else calibrate_order12(sys)
 
 
-def matching_conditions(order: int, part: QuadraticPartition) -> list[str]:
-    """Condition names whose gate the calibrated partition satisfies."""
-    out = []
+def gates(order: int, part: QuadraticPartition) -> dict[str, bool]:
+    """Which side conditions the calibrated partition satisfies, by gate name:
+    x = 1 and y = +-1 at order 12, s = 1 and t = +-1 at order 4."""
     if order == 12:
-        if part.x == 1:
-            out.append("x1")
-        if part.y_signed == 1:
-            out += ["y1a", "y1b"]
-        if part.y_signed == -1:
-            out += ["ym1a", "ym1b"]
-    elif order == 4:
-        if part.t_signed == 1:
-            out.append("t1")
-        if part.t_signed == -1:
-            out.append("tm1")
-        if part.x == 1:
-            out.append("s1")
-    else:
-        raise ValueError("conditions exist for orders 4 and 12 only")
-    return out
+        return {"x1": part.x == 1, "y1": part.y_signed == 1, "ym1": part.y_signed == -1}
+    if order == 4:
+        return {"s1": part.x == 1, "t1": part.t_signed == 1, "tm1": part.t_signed == -1}
+    raise ValueError("conditions exist for orders 4 and 12 only")
+
+
+def matching_conditions(order: int, part: QuadraticPartition) -> list[str]:
+    """Condition names whose gate the calibrated partition satisfies, sorted.
+    An order-12 y-family condition is gated by its name less the family
+    letter (y1a and y1b by y1)."""
+    holds = gates(order, part)
+    names = ORDER12_CONDITIONS if order == 12 else ORDER4_CONDITIONS
+    return sorted(c for c in names if holds[c.rstrip("ab")])
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +522,8 @@ def verify_family(q: int, order: int, condition: str,
                   include_zero: bool | None = None,
                   calibrated: tuple | None = None) -> FamilyReport:
     """Build every recipe of a condition, classify it by exact counting, and
-    report pass/fail against the target parameter tuple.
+    report pass/fail against the target parameter tuple.  With (0,0) an
+    order-12 y-family recipe puts its parity pattern (E or F) second.
 
     include_zero=None checks both variants.  calibrated is the
     calibrated_system(q, order) pair when the caller already holds it; it is
@@ -562,42 +531,33 @@ def verify_family(q: int, order: int, condition: str,
     closed-form predicted histogram against the counted one whenever the pair
     lies in the closed-form families.
     """
+    if order not in (4, 12):
+        raise ValueError("order must be 4 or 12")
     variants = (False, True) if include_zero is None else (include_zero,)
-    if order == 4:
-        sys, cal = calibrated or calibrated_system(q, 4)
-        report = FamilyReport(q=q, order=4, condition=condition,
-                              calibrated_sign=cal.partition.t_signed)
-        for z in variants:
-            target = theorem_parameters(q, z)
+    sys, part = calibrated or calibrated_system(q, order)
+    report = FamilyReport(q=q, order=order, condition=condition,
+                          calibrated_sign=part.t_signed if order == 4 else part.y_signed)
+    for z in variants:
+        target = theorem_parameters(q, z)
+        if order == 4:
             for (i, j, l) in corollary_triples(condition, z):
-                cset = build_order4(sys, Order4Recipe(i, j, l, z))
-                cls = classify(distance_spectrum(cset))
+                cls = classify(distance_spectrum(build_order4(sys, Order4Recipe(i, j, l, z))))
                 report.recipes.append({
                     "i": i, "j": j, "l": l, "include_zero": z,
                     "classification": _classification_dict(cls),
                     "pass": cls.parameters == target,
                 })
-        return report
-
-    if order == 12:
-        sys, part = calibrated or calibrated_system(q, 12)
-        report = FamilyReport(q=q, order=12, condition=condition,
-                              calibrated_sign=part.y_signed)
-        for z in variants:
-            target = theorem_parameters(q, z)
-            for (I, J) in theorem12_pairs(condition):
-                cset = build_order12(sys, Order12Recipe(I, J, z))
-                spec = distance_spectrum(cset)
-                cls = classify(spec)
-                ok = cls.parameters == target
-                predicted = predicted_spectrum(q, part, I, J, z)
-                entry = {
-                    "I": sorted(I), "J": sorted(J), "include_zero": z,
-                    "classification": _classification_dict(cls),
-                    "predicted_matches_counts": predicted == spec.histogram,
-                    "pass": ok,
-                }
-                report.recipes.append(entry)
-        return report
-
-    raise ValueError("order must be 4 or 12")
+            continue
+        for (I, J) in theorem12_pairs(condition):
+            if z and I in (SET_E, SET_F):
+                continue    # with (0,0) the parity pattern goes second
+            spec = distance_spectrum(build_order12(sys, Order12Recipe(I, J, z)))
+            cls = classify(spec)
+            report.recipes.append({
+                "I": sorted(I), "J": sorted(J), "include_zero": z,
+                "classification": _classification_dict(cls),
+                "predicted_matches_counts":
+                    predicted_spectrum(q, part, I, J, z) == spec.histogram,
+                "pass": cls.parameters == target,
+            })
+    return report

@@ -30,8 +30,9 @@ enumeration; the two are cross-checked in the test suite and the theorem
 recipes are always re-verified through the slow route.
 
 Jobs: each prime is one job on one class system, built once, swept, and
-read again for the prime's family gate (dhm.calibrate_order12 at d = 12,
-dhm.match_order4_conditions at d = 4); cross_prime_family_report aggregates.
+read again for the prime's family gate (dhm.gates of dhm.calibrate_order12
+at d = 12, of dhm.match_order4_conditions at d = 4); cross_prime_family_report
+aggregates.
 
 Determinism: hits are emitted sorted by (q, I, J); reports are
 byte-identical for any worker count.
@@ -181,13 +182,9 @@ def _gate_conditions(sys: cyclotomy.CyclotomicSystem) -> dict[str, bool]:
     """Side conditions on the small partition parameters, per order, read off
     the prime's own class system."""
     if sys.d == 12:
-        part = dhm.calibrate_order12(sys)
-        return {"x1": part.x == 1, "y1": part.y_signed == 1,
-                "ym1": part.y_signed == -1}
+        return dhm.gates(12, dhm.calibrate_order12(sys))
     if sys.d == 4:
-        part = dhm.match_order4_conditions(sys).partition
-        return {"t1": part.t_signed == 1, "tm1": part.t_signed == -1,
-                "s1": part.x == 1}
+        return dhm.gates(4, dhm.match_order4_conditions(sys))
     return {"always": True}
 
 

@@ -86,6 +86,46 @@ def test_verify_auto_q13_no_zero(capsys):
     assert {rep["condition"] for rep in reports} == {"ym1a", "ym1b"}
 
 
+@pytest.mark.parametrize("q", [13, 229])
+def test_verify_auto_passes_at_y_primes(capsys, q):
+    # with (0,0) a y family lists only the parity-pattern-second slot order,
+    # the one the calibrated family passes in
+    code, out, _ = run(capsys, "verify", "--q", str(q), "--order", "12",
+                       "--condition", "auto")
+    assert code == 0
+    zero = [r for rep in json.loads(out) for r in rep["recipes"] if r["include_zero"]]
+    assert len(zero) == 4
+    assert all(r["J"] in ([0, 2, 4, 6, 8, 10], [1, 3, 5, 7, 9, 11]) for r in zero)
+
+
+# sha256 of "exit code\nstdout stderr" of verify --order 4 at conditions auto,
+# t1, tm1 and s1 in turn, per (q, format); recorded before the t fit moved
+# from list matching to the gate table
+VERIFY_ORDER4_DIGESTS = {
+    (5, "json"): "fdd85e030a6db243a911eb27159664f4dd2bca32e611f779be2085dd1b140f42",
+    (5, "text"): "5372f7ebd719173dbbd30633c8662f4456e11b875d40705a10c1592c56bfd782",
+    (13, "json"): "a80768fbe6633618ca3f8727d87fd8a299920ff8b0bbc9e66ceff9f2f424eead",
+    (13, "text"): "7255ffdd78225690c46f7c3fe13feae0560aaa2579dac246ce4f1075b54929d3",
+    (29, "json"): "b617e9c1df2ab84802dc3a31f828d879b45076558998ef606bc95a88c8a0b218",
+    (29, "text"): "4871376a7872a038ce57c105c5b0222d827361468407ae70897588531512632a",
+    (37, "json"): "daacd004ddaff24eb87f7be009be7dc1b0d7dfaee015ac82ea51b36fd56fe857",
+    (37, "text"): "977f39a1ce1b03d4da5bf7ca54975b6875b5da71b9503d6c20fd10bf52966a64",
+    (61, "json"): "d0974f16fc6feeaf7532c534172ad7ba28d35769d1d40bcd57000d5bfd979f9f",
+    (61, "text"): "d0974f16fc6feeaf7532c534172ad7ba28d35769d1d40bcd57000d5bfd979f9f",
+}
+
+
+@pytest.mark.parametrize("q, fmt", sorted(VERIFY_ORDER4_DIGESTS))
+def test_verify_order4_output_matches_reference(capsys, q, fmt):
+    import hashlib
+    digest = hashlib.sha256()
+    for cond in ("auto", "t1", "tm1", "s1"):
+        code, out, err = run(capsys, "verify", "--q", str(q), "--order", "4",
+                             "--condition", cond, "--format", fmt)
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == VERIFY_ORDER4_DIGESTS[(q, fmt)]
+
+
 def count_calls(monkeypatch, module, *names):
     """Count calls to module.<name> for each name from here on."""
     counts = dict.fromkeys(names, 0)
@@ -208,6 +248,26 @@ def test_search_builds_one_system_per_prime(tmp_path, monkeypatch, capsys,
                      "--report-dir", str(tmp_path))
     assert code == 0
     assert counts == dict.fromkeys(counts, n_primes)
+
+
+def test_search_rejects_missing_report_dir_before_sweeping(tmp_path, monkeypatch, capsys):
+    from cyclodes import search
+    counts = count_calls(monkeypatch, search, "cross_prime_family_report")
+    code, out, err = run(capsys, "search", "--d", "4", "--bound", "40",
+                         "--report-dir", str(tmp_path / "missing"))
+    assert code == 2 and out == ""
+    assert err == f"error: --report-dir {tmp_path / 'missing'} is not a directory\n"
+    assert counts == {"cross_prime_family_report": 0}
+
+
+def test_output_into_missing_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "hits.jsonl"
+    for argv in (["search", "--d", "4", "--bound", "40", "--report-dir", str(tmp_path)],
+                 ["classes", "--q", "13", "--d", "4"]):
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert "Traceback" not in err
 
 
 def test_search_rejects_workers_below_one(tmp_path, capsys):

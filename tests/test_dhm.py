@@ -1,6 +1,6 @@
 import pytest
 
-from cyclodes import adsets, cyclotomy, dhm
+from cyclodes import adsets, cyclotomy, dhm, ff
 from cyclodes.dhm import (SET_A, SET_B, SET_C, SET_D, SET_E, SET_F,
                           Order4Recipe, Order12Recipe)
 
@@ -206,34 +206,116 @@ def test_predicted_spectrum_matches_counts():
 # calibration
 # ---------------------------------------------------------------------------
 
+def reference_list_match(sys):
+    """The list matching that fitted t before the gate table, kept as the
+    reference for the fit: each zero variant's hit set is matched to the one
+    condition list it equals, or (at q = 5) to the union of the s1 list and a
+    t list.  Returns the names matched without and with (0,0), and the t sign
+    when exactly one of t1, tm1 was matched."""
+    matched = []
+    for z, table in ((False, dhm.COROLLARY1_TRIPLES), (True, dhm.COROLLARY2_TRIPLES)):
+        hit_set = set(dhm.order4_hit_triples(sys, z))
+        names = [(name,) for name, trips in table.items() if hit_set == set(trips)]
+        names += [tuple(sorted(("s1", t))) for t in ("t1", "tm1")
+                  if hit_set == set(table["s1"]) | set(table[t])]
+        matched.append(names[0] if names else ())
+    both = set(matched[0]) | set(matched[1])
+    t_signed = None
+    if "t1" in both and "tm1" not in both:
+        t_signed = 1
+    elif "tm1" in both and "t1" not in both:
+        t_signed = -1
+    return matched[0], matched[1], t_signed
+
+
+def assert_fit_matches_list_matching(bound):
+    """At every prime q = 5 (mod 8) below bound the t fit gives the sign and
+    the condition names of the reference list matching; at gateless primes
+    the search hits nothing."""
+    for q in range(5, bound, 8):
+        if not ff.is_prime(q):
+            continue
+        s = cyclotomy.build_classes(q, 4)
+        part = dhm.match_order4_conditions(s)
+        no_zero, with_zero, t_signed = reference_list_match(s)
+        assert part.t_signed == t_signed, q
+        assert dhm.matching_conditions(4, part) == sorted(no_zero), q
+        if part.y_abs == 1 or part.x == 1:
+            assert no_zero and no_zero == with_zero, q
+            assert dhm.calibrate_order4(s) == part, q
+        else:
+            assert no_zero == with_zero == (), q
+            assert dhm.order4_hit_triples(s, False) == [], q
+            assert dhm.order4_hit_triples(s, True) == [], q
+
+
+def test_order4_fit_matches_list_matching_to_3000():
+    assert_fit_matches_list_matching(3000)
+
+
+def assert_gated_lists_are_the_hits(s, names):
+    for z in (False, True):
+        assert set(dhm.order4_hit_triples(s, z)) == {
+            trip for cond in names for trip in dhm.corollary_triples(cond, z)}
+
+
 def test_calibrate_order4_q29():
-    cal = dhm.calibrate_order4(cyclotomy.build_classes(29, 4))
-    assert cal.matched_no_zero == cal.matched_with_zero
-    assert len(cal.matched_no_zero) == 1
-    assert cal.t_signed in (1, -1)
+    s = cyclotomy.build_classes(29, 4)
+    part = dhm.calibrate_order4(s)
+    names = dhm.matching_conditions(4, part)
+    assert names in (["t1"], ["tm1"])
+    assert_gated_lists_are_the_hits(s, names)
+    assert part.t_signed in (1, -1)
 
 
 def test_calibrate_order4_q37_s1():
-    cal = dhm.calibrate_order4(cyclotomy.build_classes(37, 4))
-    assert cal.matched_no_zero == ("s1",)
-    assert cal.t_signed is None
+    s = cyclotomy.build_classes(37, 4)
+    part = dhm.calibrate_order4(s)
+    assert dhm.matching_conditions(4, part) == ["s1"]
+    assert_gated_lists_are_the_hits(s, ["s1"])
+    assert part.t_signed is None
 
 
 def test_calibrate_order4_q5_double_gate():
     # q=5 is the one prime with s = 1 and |t| = 1: the hit set is the union
     # of the s1 list and one t list
-    cal = dhm.calibrate_order4(cyclotomy.build_classes(5, 4))
-    assert "s1" in cal.matched_no_zero and len(cal.matched_no_zero) == 2
-    assert cal.t_signed in (1, -1)
+    s = cyclotomy.build_classes(5, 4)
+    part = dhm.calibrate_order4(s)
+    names = dhm.matching_conditions(4, part)
+    assert names[0] == "s1" and len(names) == 2
+    assert_gated_lists_are_the_hits(s, names)
+    assert part.t_signed in (1, -1)
 
 
 def test_calibrate_order4_gateless_prime():
     # 61 = 25 + 36: s = 5, |t| = 3, no condition applies
     with pytest.raises(ValueError):
         dhm.calibrate_order4(cyclotomy.build_classes(61, 4))
-    lenient = dhm.match_order4_conditions(cyclotomy.build_classes(61, 4))
-    assert lenient.matched_no_zero == ()
-    assert not lenient.unexplained_hits
+    s = cyclotomy.build_classes(61, 4)
+    lenient = dhm.match_order4_conditions(s)
+    assert dhm.matching_conditions(4, lenient) == []
+    assert dhm.order4_hit_triples(s, False) == []
+    assert dhm.order4_hit_triples(s, True) == []
+
+
+def test_calibrate_order4_needs_exactly_one_fit(monkeypatch):
+    # a hit set that no candidate's lists reproduce is a hard error
+    s = cyclotomy.build_classes(29, 4)
+    monkeypatch.setattr(dhm, "order4_hit_triples", lambda sys, z: [(0, 1, 2)])
+    with pytest.raises(ArithmeticError):
+        dhm.calibrate_order4(s)
+    assert dhm.match_order4_conditions(s).t_signed is None
+
+
+def test_gates_table():
+    part = cyclotomy.QuadraticPartition(q=5, x=1, y_abs=1, t_signed=-1)
+    assert dhm.gates(4, part) == {"s1": True, "t1": False, "tm1": True}
+    assert dhm.matching_conditions(4, part) == ["s1", "tm1"]
+    part = cyclotomy.QuadraticPartition(q=13, x=-3, y_abs=1, y_signed=1)
+    assert dhm.gates(12, part) == {"x1": False, "y1": True, "ym1": False}
+    assert dhm.matching_conditions(12, part) == ["y1a", "y1b"]
+    with pytest.raises(ValueError):
+        dhm.gates(6, part)
 
 
 def test_matching_conditions():
@@ -263,22 +345,24 @@ def test_verify_family_order12_q13_no_zero():
 
 
 def test_verify_family_zero_variant_slot_rule_q13():
-    # with (0,0) adjoined the slot order matters: the calibrated family
-    # passes with the parity pattern in the second slot only, and the
-    # opposite family contributes the parity-pattern-first orders
+    # with (0,0) adjoined a y family lists its pairs with the parity pattern
+    # in the second slot only, the order in which the calibrated family passes
     rep = dhm.verify_family(13, 12, "ym1a", include_zero=True)
     outcome = {(tuple(r["I"]), tuple(r["J"])): r["pass"] for r in rep.recipes}
-    assert outcome[(tuple(sorted(SET_A)), tuple(sorted(SET_E)))] is True
-    assert outcome[(tuple(sorted(SET_B)), tuple(sorted(SET_E)))] is True
-    assert outcome[(tuple(sorted(SET_E)), tuple(sorted(SET_A)))] is False
-    assert outcome[(tuple(sorted(SET_E)), tuple(sorted(SET_B)))] is False
+    assert outcome == {(tuple(sorted(SET_A)), tuple(sorted(SET_E))): True,
+                       (tuple(sorted(SET_B)), tuple(sorted(SET_E))): True}
     # every recipe's predicted histogram still matches the counted one
     assert all(r["predicted_matches_counts"] for r in rep.recipes)
+    # the opposite family fails in that order (it passes parity-first, which
+    # test_zero_slot_pairs_match_counts_q13 checks)
     rep_opp = dhm.verify_family(13, 12, "y1b", include_zero=True)
     outcome_opp = {(tuple(r["I"]), tuple(r["J"])): r["pass"] for r in rep_opp.recipes}
-    assert outcome_opp[(tuple(sorted(SET_E)), tuple(sorted(SET_C)))] is True
-    assert outcome_opp[(tuple(sorted(SET_E)), tuple(sorted(SET_D)))] is True
-    assert outcome_opp[(tuple(sorted(SET_C)), tuple(sorted(SET_E)))] is False
+    assert outcome_opp == {(tuple(sorted(SET_C)), tuple(sorted(SET_E))): False,
+                           (tuple(sorted(SET_D)), tuple(sorted(SET_E))): False}
+    assert all(r["predicted_matches_counts"] for r in rep_opp.recipes)
+    # the plain variant and the x = 1 family keep both slot orders
+    assert len(dhm.verify_family(13, 12, "ym1a", include_zero=False).recipes) == 4
+    assert len(dhm.verify_family(37, 12, "x1", include_zero=True).recipes) == 8
 
 
 def test_zero_slot_pairs_q13():

@@ -9,6 +9,7 @@ import pytest
 
 from cyclodes import adsets, cyclotomy, dhm, ff
 from test_cyclotomy import direct_jacobi_sum
+from test_dhm import assert_fit_matches_list_matching, assert_gated_lists_are_the_hits
 from test_search import unbalanced_hit_primes
 from test_stratum import full_grid_hit_pairs
 
@@ -57,14 +58,20 @@ def test_order4_calibration_to_500():
     for q in range(5, 501, 8):
         if not ff.is_prime(q):
             continue
-        cal = dhm.match_order4_conditions(cyclotomy.build_classes(q, 4))
-        part = cal.partition
+        s = cyclotomy.build_classes(q, 4)
+        part = dhm.match_order4_conditions(s)
+        names = dhm.matching_conditions(4, part)
         if part.y_abs == 1 or part.x == 1:
-            assert cal.matched_no_zero, q
-            assert cal.matched_no_zero == cal.matched_with_zero, q
+            assert names, q
+            assert_gated_lists_are_the_hits(s, names)
         else:
-            assert cal.matched_no_zero == (), q
-            assert not cal.unexplained_hits, q
+            assert names == [], q
+            assert dhm.order4_hit_triples(s, False) == [], q
+            assert dhm.order4_hit_triples(s, True) == [], q
+
+
+def test_order4_fit_matches_list_matching_to_20000():
+    assert_fit_matches_list_matching(20000)
 
 
 def test_narrowed_sweep_equals_full_grid_to_2000():

@@ -249,8 +249,8 @@ def count_tables(monkeypatch):
 
 def test_order4_match_counts_one_table(monkeypatch):
     calls = count_tables(monkeypatch)
-    cal = dhm.match_order4_conditions(cyclotomy.build_classes(29, 4))
-    assert cal.matched_no_zero
+    part = dhm.match_order4_conditions(cyclotomy.build_classes(29, 4))
+    assert dhm.matching_conditions(4, part)
     assert calls == [(29, 4)]
 
 

@@ -71,6 +71,7 @@ def test_array_tables_equal_loops(q, data):
         for i in range(d):
             members = [a for a in range(1, q) if class_of[a] == i]
             assert s.class_members(i) == members
+            assert s.members_by_class()[i] == members
             assert s.class_members(i + d) == members
         assert s.table.counts == loop_counts(class_of, d)
         # The last class, d - 1, is what class_of[0] = -1 would wrap to.
