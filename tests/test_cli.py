@@ -126,6 +126,62 @@ def test_verify_order4_output_matches_reference(capsys, q, fmt):
     assert digest.hexdigest() == VERIFY_ORDER4_DIGESTS[(q, fmt)]
 
 
+# sha256 of "exit code\nstdout stderr" of verify --order 12 at conditions auto,
+# x1, y1a, y1b, ym1a and ym1b in turn, per (q, format); recorded before the
+# order-4 and order-12 recipe types and builders became one
+VERIFY_ORDER12_DIGESTS = {
+    (13, "json"): "68db88c40d7a83d05e4441c6139877d3d8995a2395b8705721cd6e4f16a56999",
+    (13, "text"): "52ac3ef047386ac74765da3c3e2fd33bb98d610deb54d971fe4c85483a0c89ec",
+    (37, "json"): "9f412b56400c30a6635eae9dc285d3c0f855ca25644cbfe614fd77a29cde98b4",
+    (37, "text"): "a9fd3eeab328c19d6d17e2831cdc92db405433d4e423a3fd500e2abd6b7ce0fe",
+    (229, "json"): "f84f86c08614fe3af684b9a7e1c233f6746aa22683001a03d34b9b2349d154a6",
+    (229, "text"): "579378c5bfb074005a8e2742cbbc16527354d2a8c972c15eb4ccc489fc8073d5",
+}
+
+
+@pytest.mark.parametrize("q, fmt", sorted(VERIFY_ORDER12_DIGESTS))
+def test_verify_order12_output_matches_reference(capsys, q, fmt):
+    import hashlib
+    digest = hashlib.sha256()
+    for cond in ("auto", "x1", "y1a", "y1b", "ym1a", "ym1b"):
+        code, out, err = run(capsys, "verify", "--q", str(q), "--order", "12",
+                             "--condition", cond, "--format", fmt)
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == VERIFY_ORDER12_DIGESTS[(q, fmt)]
+
+
+# sha256 of "exit code\nstdout stderr" of sequence plain then --include-zero,
+# each in json, csv and text, per (q, order, recipe): A,E and one named recipe
+# of each order-12 family, and an order-4 triple; recorded with the verify pins
+SEQUENCE_DIGESTS = {
+    (13, 12, "A,E"): "22e805f24029e48a860db4e97d343f2a45fd0ea1b638da2c68febabacbdaaede",
+    (13, 12, "A,C"): "65e8a0e264a2c68744b192b516a400d6c7a5d221fce5d3a082fd5042db375eeb",
+    (13, 12, "A,F"): "b51309f4f0996b532bf9aa4f648523c8ee6d0972386e9aef55af41b804cd696d",
+    (13, 12, "C,E"): "bfaa2ee943e204711bb5b6e79010247067d860c62d2b49034a6ba3ba8cb9d8fe",
+    (13, 12, "B,E"): "7c45d8ccb96b4c411a5c311a69d14aca717bd93cae8a77b899876b3691f5e559",
+    (13, 12, "C,F"): "650dce7dbecf765360bb25ba70a676255aa6998a6a7b9812d7350f8e9eb508a8",
+    (37, 12, "A,E"): "81a740ce8965a83eacd7bef6a792a6d25c6187dc47e3a84c9f3750e9bc066446",
+    (37, 12, "A,C"): "ccf9163f04314dfc06e0ceeea4a6842afa417ed1c3ad025ea6c9ae3f8e58e6b1",
+    (37, 12, "A,F"): "69f71c6e9e9aa5583b2c5bc2c08a5b4032c142454be50a60bddfa8a5a0ae91ce",
+    (37, 12, "C,E"): "70368e0bb184f994fa3b76c1924160a754bf175e89056b91200b7e6de5389fff",
+    (37, 12, "B,E"): "060e5671624e3c1df2a4da3f3d16e49cb3b5282c71305645afdb868cbeeb44d7",
+    (37, 12, "C,F"): "c2611a859975d6a21e30b8752ddb8b1d55701edaa335fe3a19093720c523965e",
+    (29, 4, "0,2,3"): "f9517a95ad62d493608bf984cdac54912996fb22026292d508a54b03ca0b8f3d",
+}
+
+
+@pytest.mark.parametrize("q, order, recipe", sorted(SEQUENCE_DIGESTS))
+def test_sequence_output_matches_reference(capsys, q, order, recipe):
+    import hashlib
+    digest = hashlib.sha256()
+    for zero in ((), ("--include-zero",)):
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run(capsys, "sequence", "--q", str(q), "--order", str(order),
+                                 "--recipe", recipe, "--format", fmt, *zero)
+            digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == SEQUENCE_DIGESTS[(q, order, recipe)]
+
+
 def count_calls(monkeypatch, module, *names):
     """Count calls to module.<name> for each name from here on."""
     counts = dict.fromkeys(names, 0)
