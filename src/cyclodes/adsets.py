@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomy import CyclotomicSystem, zero_term
-
 DEGENERATE_NOTE = "degenerate: empty or full set"
 
 # Entries per block of member differences: bounds difference_function's int64
@@ -154,24 +152,3 @@ def classify(spec: DifferenceSpectrum) -> SetClassification:
         return SetClassification(kind="almost_difference_set", n=spec.n, k=spec.k,
                                  lam=lam, t=spec.histogram[lam])
     return SetClassification(kind="neither", n=spec.n, k=spec.k)
-
-
-def restricted_distance(set_a: frozenset[int], set_b: frozenset[int],
-                        w: int, q: int) -> int:
-    """d_{A,B}(w) = |(A + w) & B| inside GF(q); w must be nonzero."""
-    if w % q == 0:
-        raise ValueError("restricted distance requires w != 0")
-    return sum(1 for a in set_a if (a + w) % q in set_b)
-
-
-def delta_term(I, sys: CyclotomicSystem, w2: int) -> int:
-    """|D_I & {w2, -w2}| via the class-shift rule, for any order d | q-1.
-
-    With h the class of w2**-1, multiplying by w2**-1 turns the question into
-    membership of 1 and -1 in D_{I+h}; with m = sys.minus_one_class (d/2 for
-    f odd, 0 for f even) the count is [0 in I+h] + [m in I+h].
-    """
-    if w2 % sys.q == 0:
-        raise ValueError("delta term requires w2 != 0")
-    h = (-sys.klass(w2)) % sys.d  # class of w2**-1
-    return zero_term(I, h, sys.d, sys.minus_one_class)

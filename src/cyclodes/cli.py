@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -151,10 +152,8 @@ def _conditions_for(args):
 
 def cmd_verify(args) -> int:
     _check_oracle_range(args.q)
-    if args.order == 4 and args.condition not in dhm.ORDER4_CONDITIONS + ("auto",):
-        raise ValueError(f"unknown order-4 condition {args.condition!r}")
-    if args.order == 12 and args.condition not in dhm.ORDER12_CONDITIONS + ("auto",):
-        raise ValueError(f"unknown order-12 condition {args.condition!r}")
+    if args.condition not in dhm.CONDITIONS[args.order] + ("auto",):
+        raise ValueError(f"unknown order-{args.order} condition {args.condition!r}")
     include_zero = None
     if args.include_zero:
         include_zero = True
@@ -190,6 +189,8 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     if not Path(args.report_dir).is_dir():
         raise ValueError(f"--report-dir {args.report_dir} is not a directory")
+    if args.output and not Path(args.output).parent.is_dir():
+        raise ValueError(f"--output {args.output}: its directory does not exist")
     report = search.cross_prime_family_report(
         args.d, args.bound, args.include_zero, workers=args.workers)
     out_lines = [h.to_json() for h in report.hits]
@@ -209,25 +210,30 @@ def cmd_search(args) -> int:
 # sequence
 # ---------------------------------------------------------------------------
 
+def _parse_recipe(text: str, d: int, include_zero: bool) -> dhm.Recipe:
+    """A search shape_id 'I<hex>-J<hex>' at any order, two named sets 'A,E'
+    at order 12, or a triple 'i,j,l' at order 4."""
+    shape = re.fullmatch(r"I([0-9a-f]*)-J([0-9a-f]*)", text)
+    parts = text.split(",")
+    if shape:
+        if any(len(set(s)) < len(s) for s in shape.groups()):
+            raise ValueError("an index repeats within I or J")
+        I, J = ({int(c, 16) for c in s} for s in shape.groups())
+        return dhm.Recipe(d, I, J, include_zero)
+    if d == 12 and len(parts) == 2 and all(p in dhm.NAMED_SETS for p in parts):
+        return dhm.Recipe(d, *(dhm.NAMED_SETS[p] for p in parts), include_zero)
+    if d == 4 and len(parts) == 3 and all(p.isdigit() for p in parts):
+        return dhm.triple_recipe(tuple(map(int, parts)), include_zero)
+    other = {12: ", or two of A-F like 'A,E'", 4: ", or 'i,j,l'"}.get(d, "")
+    raise ValueError(f"unknown order-{d} recipe; expected a shape_id like I0145-J0246{other}")
+
+
 def _recipe_set(args) -> adsets.CharacteristicSet:
-    parts = args.recipe.split(",")
-    if args.order == 12:
-        if len(parts) != 2 or not all(p in dhm.NAMED_SETS for p in parts):
-            raise ValueError(
-                f"unknown order-12 recipe {args.recipe!r}; expected two of "
-                f"{sorted(dhm.NAMED_SETS)} like 'A,E'")
-        sys_ = cyclotomy.build_classes(args.q, 12)
-        recipe = dhm.Order12Recipe(dhm.NAMED_SETS[parts[0]],
-                                   dhm.NAMED_SETS[parts[1]], args.include_zero)
-        return dhm.build_order12(sys_, recipe)
-    if len(parts) != 3:
-        raise ValueError(f"unknown order-4 recipe {args.recipe!r}; expected 'i,j,l'")
+    sys_ = cyclotomy.build_classes(args.q, args.order)
     try:
-        i, j, l = (int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"unknown order-4 recipe {args.recipe!r}") from None
-    sys_ = cyclotomy.build_classes(args.q, 4)
-    return dhm.build_order4(sys_, dhm.Order4Recipe(i, j, l, args.include_zero))
+        return dhm.build(sys_, _parse_recipe(args.recipe, args.order, args.include_zero))
+    except ValueError as exc:
+        raise ValueError(f"recipe {args.recipe!r}: {exc}") from None
 
 
 def cmd_sequence(args) -> int:
@@ -316,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sequence", help="sequence + autocorrelation of a recipe")
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--order", type=int, choices=(4, 12), required=True)
+    sp.add_argument("--order", type=int, choices=(4, 6, 8, 10, 12), required=True)
     sp.add_argument("--recipe", required=True,
-                    help="order 12: 'A,E' style set names; order 4: 'i,j,l'")
+                    help="shape_id like I0145-J0246; 'A,E' at order 12; 'i,j,l' at order 4")
     sp.add_argument("--include-zero", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_sequence)

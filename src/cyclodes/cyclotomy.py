@@ -320,19 +320,6 @@ class CyclotomicInteger12:
             self.c0 + self.c2, self.c1, -self.c2, -(self.c1 + self.c3)
         )
 
-    def hermitian_square(self) -> int:
-        """|z|**2 = z * conj(z), which must be a rational integer here.
-
-        The product always lies in Z[sqrt(3)]; raises if the sqrt(3) part is
-        nonzero (never the case for the Jacobi sums this is used on).
-        """
-        prod = self * self.conjugate()
-        # Z[sqrt(3)] elements have the form a + b*(beta + beta**11)
-        #   = a + b*(2*beta - beta**3): c2 must vanish and c1 = -2*c3.
-        if prod.c2 != 0 or prod.c1 != -2 * prod.c3 or prod.c3 != 0:
-            raise ArithmeticError(f"|z|^2 not a rational integer: {prod}")
-        return prod.c0
-
 
 def _beta_powers() -> tuple[CyclotomicInteger12, ...]:
     out = [CyclotomicInteger12(1, 0, 0, 0)]
@@ -496,15 +483,6 @@ CANONICAL_LABELS: tuple[str, ...] = tuple(
                  + [(2, k) for k in (0, 1, 2, 3, 4, 11)]
                  + [(3, 0), (3, 1), (3, 2), (4, 2)])
 )
-
-
-def label_multiplicities() -> dict[str, int]:
-    """How often each canonical label occurs among the 144 cells."""
-    mult: dict[str, int] = {}
-    for row in EQUALITY_TABLE:
-        for lab in row:
-            mult[lab] = mult.get(lab, 0) + 1
-    return mult
 
 
 # ---------------------------------------------------------------------------

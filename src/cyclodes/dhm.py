@@ -1,16 +1,17 @@
-"""Product-set constructions C = {0} x D_I u {1} x D_J over GF(2) x GF(q),
-for cyclotomic classes of order 4 and order 12: condition lists, builders,
+"""Product-set constructions C = {0} x D_I u {1} x D_J over GF(2) x GF(q):
+one Recipe(d, I, J, include_zero) and one build for every order d (f odd),
+so every search hit is a recipe; condition lists at orders 4 and 12,
 closed-form predicted spectra, and calibration of the sign conventions.
 
-Order 4 (q = 5 mod 8, so f odd): recipes are triples (i, j, l) of distinct
-class indices with part0 = D_i u D_j and part1 = D_l u D_j; the sufficient
-conditions are three fixed 8-triple lists gated on t = 1, t = -1, or s = 1
+Order 4 (q = 5 mod 8, so f odd): the conditions name triples (i, j, l) of
+distinct class indices, the recipe I = {i, j}, J = {l, j} (triple_recipe);
+they are three fixed 8-triple lists gated on t = 1, t = -1, or s = 1
 (q = s**2 + 4t**2, s = 1 mod 4).  That is the equation of the order-12
 partition below, so the paper's s and |t| are x and |y| (part.x, part.y_abs).
 
-Order 12 (q = 12f + 1, f odd): recipes are pairs (I, J) of 6-element index
-sets drawn from six named patterns; the sufficient conditions are families
-gated on x = 1 or y = +-1 (q = x**2 + 4y**2, x = 1 mod 4).
+Order 12 (q = 12f + 1, f odd): the conditions name pairs (I, J) of the six
+named 6-element patterns; they are families gated on x = 1 or y = +-1
+(q = x**2 + 4y**2, x = 1 mod 4).
 
 Sign conventions: the congruences pin x and A but not y, B, t.  All signed
 parameters are *outputs* of calibration against exact counts (never inputs),
@@ -90,8 +91,6 @@ COROLLARY2_TRIPLES: dict[str, tuple[tuple[int, int, int], ...]] = {
            (2, 1, 0), (2, 3, 0), (3, 0, 1), (3, 2, 1)),
 }
 
-ORDER4_CONDITIONS = ("t1", "tm1", "s1")
-
 THEOREM12_FAMILIES: dict[str, tuple[frozenset[int], ...]] = {
     "x1": (SET_A, SET_C, SET_D, SET_B),
     "y1a": (SET_A, SET_B, SET_F),
@@ -101,6 +100,9 @@ THEOREM12_FAMILIES: dict[str, tuple[frozenset[int], ...]] = {
 }
 
 ORDER12_CONDITIONS = ("x1", "y1a", "y1b", "ym1a", "ym1b")
+
+# condition names by order, for verify and matching_conditions alike
+CONDITIONS = {4: ("t1", "tm1", "s1"), 12: ORDER12_CONDITIONS}
 
 
 def corollary_triples(condition: str, with_zero: bool) -> tuple[tuple[int, int, int], ...]:
@@ -125,54 +127,40 @@ def theorem12_pairs(condition: str) -> tuple[tuple[frozenset[int], frozenset[int
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Order4Recipe:
-    i: int
-    j: int
-    l: int
-    include_zero: bool = False
-
-    def __post_init__(self):
-        if len({self.i, self.j, self.l}) != 3 or \
-                not all(0 <= v < 4 for v in (self.i, self.j, self.l)):
-            raise ValueError("recipe needs three pairwise distinct indices in [0,4)")
-
-
-@dataclass(frozen=True)
-class Order12Recipe:
+class Recipe:
+    """C = {0} x D_I u {1} x D_J at order d; I and J are stored as frozensets."""
+    d: int
     I: frozenset[int]
     J: frozenset[int]
     include_zero: bool = False
 
     def __post_init__(self):
-        if len(self.I) != 6 or len(self.J) != 6 or \
-                not (self.I | self.J) <= set(range(12)):
-            raise ValueError("recipe needs two 6-element subsets of [0,12)")
+        object.__setattr__(self, "I", frozenset(self.I))
+        object.__setattr__(self, "J", frozenset(self.J))
+        if not (self.I | self.J) <= set(range(self.d)):
+            raise ValueError(f"recipe indices must lie in [0, {self.d})")
+        if len(self.I) + len(self.J) != self.d:
+            raise ValueError(f"recipe needs |I| + |J| = d = {self.d}")
 
 
-def build_order4(sys: CyclotomicSystem, r: Order4Recipe) -> CharacteristicSet:
-    """C = {0} x (D_i u D_j) u {1} x (D_l u D_j), plus (0,0) when requested."""
-    if sys.d != 4:
-        raise ValueError("build_order4 requires an order-4 system")
-    if sys.q % 8 != 5:
-        raise ValueError(f"q={sys.q} is not 5 mod 8")
-    part0 = sys.union({r.i, r.j})
-    part1 = sys.union({r.l, r.j})
-    if r.include_zero:
-        part0 = part0 | {0}
-    return CharacteristicSet(q=sys.q, part0=part0, part1=part1)
+def triple_recipe(triple: tuple[int, int, int], include_zero: bool = False) -> Recipe:
+    """The order-4 triple (i, j, l) as the recipe I = {i, j}, J = {l, j}."""
+    i, j, l = triple
+    if len({i, j, l}) != 3:
+        raise ValueError("an order-4 triple needs three pairwise distinct indices")
+    return Recipe(4, {i, j}, {l, j}, include_zero)
 
 
-def build_order12(sys: CyclotomicSystem, r: Order12Recipe) -> CharacteristicSet:
-    """C = {0} x D_I u {1} x D_J, plus (0,0) when requested."""
-    if sys.d != 12:
-        raise ValueError("build_order12 requires an order-12 system")
+def build(sys: CyclotomicSystem, r: Recipe) -> CharacteristicSet:
+    """The recipe's set on its order's class system; f must be odd."""
+    if sys.d != r.d:
+        raise ValueError(f"an order-{r.d} recipe needs an order-{r.d} system, not {sys.d}")
     if sys.f % 2 == 0:
-        raise ValueError("construction requires f odd")
+        raise ValueError(f"the construction needs f odd: q={sys.q} = {sys.d}*{sys.f} + 1")
     part0 = sys.union(r.I)
-    part1 = sys.union(r.J)
     if r.include_zero:
         part0 = part0 | {0}
-    return CharacteristicSet(q=sys.q, part0=part0, part1=part1)
+    return CharacteristicSet(q=sys.q, part0=part0, part1=sys.union(r.J))
 
 
 def theorem_parameters(q: int, include_zero: bool) -> tuple[int, int, int, int]:
@@ -484,8 +472,7 @@ def matching_conditions(order: int, part: QuadraticPartition) -> list[str]:
     An order-12 y-family condition is gated by its name less the family
     letter (y1a and y1b by y1)."""
     holds = gates(order, part)
-    names = ORDER12_CONDITIONS if order == 12 else ORDER4_CONDITIONS
-    return sorted(c for c in names if holds[c.rstrip("ab")])
+    return sorted(c for c in CONDITIONS[order] if holds[c.rstrip("ab")])
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +509,14 @@ def verify_family(q: int, order: int, condition: str,
                   include_zero: bool | None = None,
                   calibrated: tuple | None = None) -> FamilyReport:
     """Build every recipe of a condition, classify it by exact counting, and
-    report pass/fail against the target parameter tuple.  With (0,0) an
-    order-12 y-family recipe puts its parity pattern (E or F) second.
+    report pass/fail against the target parameter tuple.
 
     include_zero=None checks both variants.  calibrated is the
     calibrated_system(q, order) pair when the caller already holds it; it is
     built here otherwise.  For order 12 the report also cross-checks the
-    closed-form predicted histogram against the counted one whenever the pair
-    lies in the closed-form families.
+    closed-form predicted histogram against the counted one.
     """
-    if order not in (4, 12):
+    if order not in CONDITIONS:
         raise ValueError("order must be 4 or 12")
     variants = (False, True) if include_zero is None else (include_zero,)
     sys, part = calibrated or calibrated_system(q, order)
@@ -540,24 +525,20 @@ def verify_family(q: int, order: int, condition: str,
     for z in variants:
         target = theorem_parameters(q, z)
         if order == 4:
-            for (i, j, l) in corollary_triples(condition, z):
-                cls = classify(distance_spectrum(build_order4(sys, Order4Recipe(i, j, l, z))))
-                report.recipes.append({
-                    "i": i, "j": j, "l": l, "include_zero": z,
-                    "classification": _classification_dict(cls),
-                    "pass": cls.parameters == target,
-                })
-            continue
-        for (I, J) in theorem12_pairs(condition):
-            if z and I in (SET_E, SET_F):
-                continue    # with (0,0) the parity pattern goes second
-            spec = distance_spectrum(build_order12(sys, Order12Recipe(I, J, z)))
+            recipes = [({"i": i, "j": j, "l": l}, triple_recipe((i, j, l), z))
+                       for (i, j, l) in corollary_triples(condition, z)]
+        else:   # with (0,0) a y-family pair puts its parity pattern second
+            recipes = [({"I": sorted(I), "J": sorted(J)}, Recipe(12, I, J, z))
+                       for (I, J) in theorem12_pairs(condition)
+                       if not (z and I in (SET_E, SET_F))]
+        for label, r in recipes:
+            spec = distance_spectrum(build(sys, r))
             cls = classify(spec)
-            report.recipes.append({
-                "I": sorted(I), "J": sorted(J), "include_zero": z,
-                "classification": _classification_dict(cls),
-                "predicted_matches_counts":
-                    predicted_spectrum(q, part, I, J, z) == spec.histogram,
-                "pass": cls.parameters == target,
-            })
+            rec = {**label, "include_zero": z,
+                   "classification": _classification_dict(cls),
+                   "pass": cls.parameters == target}
+            if order == 12:
+                rec["predicted_matches_counts"] = \
+                    predicted_spectrum(q, part, r.I, r.J, z) == spec.histogram
+            report.recipes.append(rec)
     return report

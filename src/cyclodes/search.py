@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import cyclotomy, dhm
 from .ff import Q_LIMIT, is_prime
@@ -67,15 +66,6 @@ class SearchHit:
             "include_zero": self.include_zero,
             "n": self.n, "k": self.k, "lambda": self.lam, "t": self.t,
         }, sort_keys=True, separators=(",", ":"))
-
-
-def enumerate_pairs(d: int, size_i: int, size_j: int):
-    """All C(d,size_i)*C(d,size_j) ordered pairs, lexicographic."""
-    if size_i > d or size_j > d:
-        raise ValueError("subset sizes cannot exceed d")
-    for I in combinations(range(d), size_i):
-        for J in combinations(range(d), size_j):
-            yield I, J
 
 
 def search_primes(d: int, bound: int) -> list[int]:
@@ -106,28 +96,6 @@ def exhaustive_search(q: int, d: int, include_zero: bool) -> list[SearchHit]:
     Complete over all C(d, d/2)**2 ordered pairs (dhm.hit_pairs); sorted.
     """
     return _sweep(_search_system(q, d), include_zero)
-
-
-def exhaustive_search_direct(q: int, d: int, include_zero: bool) -> list[SearchHit]:
-    """Slow oracle route: per-pair direct spectra.  For cross-checks at small
-    sizes; output identical to exhaustive_search."""
-    from .adsets import CharacteristicSet, classify, distance_spectrum
-
-    sys = _search_system(q, d)
-    n, k, lam, tcount = dhm.theorem_parameters(q, include_zero)
-    target = (n, k, lam, tcount)
-    hits = []
-    for I, J in enumerate_pairs(d, d // 2, d // 2):
-        part0 = sys.union(I)
-        part1 = sys.union(J)
-        if include_zero:
-            part0 = part0 | {0}
-        cls = classify(distance_spectrum(CharacteristicSet(q=q, part0=part0, part1=part1)))
-        if cls.parameters == target:
-            hits.append(SearchHit(q=q, d=d, I=I, J=J, include_zero=include_zero,
-                                  n=n, k=k, lam=lam, t=tcount))
-    hits.sort(key=lambda h: (h.q, h.I, h.J))
-    return hits
 
 
 # ---------------------------------------------------------------------------

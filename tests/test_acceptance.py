@@ -8,7 +8,8 @@ import time
 
 from cyclodes import adsets, cyclotomy, dhm, ff, search, seqkit
 from cyclodes.adsets import CharacteristicSet
-from cyclodes.dhm import SET_A, SET_E, Order12Recipe
+from cyclodes.dhm import SET_A, SET_E
+from oracles import delta_term, restricted_distance
 
 LEMMA_PRIMES = (13, 37, 61, 109, 157)
 ORDER4_T_PRIMES = (13, 29, 53, 173)
@@ -95,14 +96,14 @@ def test_criterion_3_lemma_suite():
             DI = unions[name]
             for w in range(1, q):
                 ok &= dhm.predicted_dI(s, I, w, part) == \
-                    adsets.restricted_distance(DI, DI, w, q)
+                    restricted_distance(DI, DI, w, q)
 
         # closed-form d_{I,J} for every family pair, every w != 0
         for (I, J) in _all_family_pairs():
             DI, DJ = s.union(I), s.union(J)
             for w in range(1, q):
                 ok &= dhm.predicted_dIJ(s, I, J, w, part) == \
-                    adsets.restricted_distance(DI, DJ, w, q)
+                    restricted_distance(DI, DJ, w, q)
 
         # slice decomposition and zero-pair correction, exhaustive (w1, w2)
         for (I, J) in _all_family_pairs():
@@ -115,10 +116,10 @@ def test_criterion_3_lemma_suite():
                     ok &= adsets.distance_at(extended, 1, 0) == \
                         adsets.distance_at(plain, 1, 0)
                     continue
-                d0 = adsets.restricted_distance(DI, DI, w2, q) + \
-                    adsets.restricted_distance(DJ, DJ, w2, q)
-                d1 = adsets.restricted_distance(DI, DJ, w2, q) + \
-                    adsets.restricted_distance(DJ, DI, w2, q)
+                d0 = restricted_distance(DI, DI, w2, q) + \
+                    restricted_distance(DJ, DJ, w2, q)
+                d1 = restricted_distance(DI, DJ, w2, q) + \
+                    restricted_distance(DJ, DI, w2, q)
                 ok &= adsets.distance_at(plain, 0, w2) == d0
                 ok &= adsets.distance_at(plain, 1, w2) == d1
                 ok &= adsets.distance_at(extended, 0, w2) == \
@@ -132,7 +133,7 @@ def test_criterion_3_lemma_suite():
         for I in probes:
             DI = s.union(I)
             for w2 in range(1, q):
-                ok &= adsets.delta_term(I, s, w2) == len(DI & {w2, (-w2) % q})
+                ok &= delta_term(I, s, w2) == len(DI & {w2, (-w2) % q})
     elapsed = time.perf_counter() - t0
     _announce(3, "lemma suite", t0, ok and elapsed < 30.0)
     assert ok
@@ -165,7 +166,7 @@ def test_criterion_4_order4_lists():
         for include_zero, hit_set in ((False, hits_nz), (True, hits_z)):
             target = dhm.theorem_parameters(q, include_zero)
             for (i, j, l) in hit_set:
-                cset = dhm.build_order4(s, dhm.Order4Recipe(i, j, l, include_zero))
+                cset = dhm.build(s, dhm.triple_recipe((i, j, l), include_zero))
                 cls = adsets.classify(adsets.distance_spectrum(cset))
                 ok &= cls.parameters == target
     elapsed = time.perf_counter() - t0
@@ -197,7 +198,7 @@ def test_criterion_5_order12_theorems():
             # in full (checked below), the opposite fails on every pair
             for cond in opposite:
                 for (I, J) in dhm.theorem12_pairs(cond):
-                    cset = dhm.build_order12(s, Order12Recipe(I, J, False))
+                    cset = dhm.build(s, dhm.Recipe(12, I, J, False))
                     cls = adsets.classify(adsets.distance_spectrum(cset))
                     ok &= cls.parameters != dhm.theorem_parameters(q, False)
 
@@ -218,7 +219,7 @@ def test_criterion_5_order12_theorems():
             relevant = [p for c in ("y1a", "y1b", "ym1a", "ym1b")
                         for p in dhm.theorem12_pairs(c)]
             for (I, J) in relevant:
-                cset = dhm.build_order12(s, Order12Recipe(I, J, True))
+                cset = dhm.build(s, dhm.Recipe(12, I, J, True))
                 cls = adsets.classify(adsets.distance_spectrum(cset))
                 hit = cls.parameters == target
                 ok &= hit == ((I, J) in predicted)
@@ -285,7 +286,7 @@ def test_criterion_7_sequences():
     t0 = time.perf_counter()
     ok = True
     s13 = cyclotomy.build_classes(13, 12, 2)
-    cset = dhm.build_order12(s13, Order12Recipe(SET_A, SET_E))
+    cset = dhm.build(s13, dhm.Recipe(12, SET_A, SET_E))
     seq = seqkit.set_sequence(cset)
     profile = seqkit.autocorrelation(seq)
     ok &= seq.n == 26 and seq.weight == 12
@@ -293,7 +294,7 @@ def test_criterion_7_sequences():
     for q in LEMMA_PRIMES:
         s = cyclotomy.build_classes(q, 12)
         for include_zero in (False, True):
-            c = dhm.build_order12(s, Order12Recipe(SET_A, SET_E, include_zero))
+            c = dhm.build(s, dhm.Recipe(12, SET_A, SET_E, include_zero))
             ok &= seqkit.verify_ac_identity(c)
     elapsed = time.perf_counter() - t0
     _announce(7, "sequence layer", t0, ok and elapsed < 5.0)

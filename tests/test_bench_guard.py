@@ -1,16 +1,20 @@
 """The bench tracer (perfbench/tracer.py) rebinds package functions by name
-and reads their arguments by parameter name.  These checks read the tracer's
-tables from its source, without importing or changing it, and fail when a
-rename in the package would leave the tracer wrapping nothing."""
+and reads their arguments by parameter name, and the bench's workloads and
+self-test read package attributes by name.  These checks parse those files,
+without importing or changing them, and fail when a rename in the package
+would leave the tracer wrapping nothing or a bench check reading a name that
+is gone."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+import cyclodes
 from cyclodes import adsets, seqkit
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def tracer_tables():
@@ -45,3 +49,30 @@ def test_seqkit_keeps_the_pinned_binding_sites():
     # perfbench/test_perfbench.py checks that the tracer rebinds these
     assert seqkit.distance_at is adsets.distance_at
     assert seqkit.distance_spectrum is adsets.distance_spectrum
+
+
+def package_names_read(path: Path) -> set[tuple[str, str]]:
+    """(module, attribute) for every module.attribute a bench file reads, and
+    every (module, "name") pair it lists as a binding site."""
+    modules = {"cyclodes", "adsets", "cyclotomy", "dhm", "ff", "search", "seqkit"}
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            names.add((node.value.id, node.attr))
+        if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            module, attr = node.elts
+            if isinstance(module, ast.Name) and module.id in modules \
+                    and isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+                names.add((module.id, attr.value))
+    return names
+
+
+def test_every_package_name_the_bench_reads_exists():
+    for path in (PERFBENCH / "workloads.py", PERFBENCH / "test_perfbench.py"):
+        names = package_names_read(path)
+        assert names, path
+        for module, attr in sorted(names):
+            home = cyclodes if module == "cyclodes" else \
+                importlib.import_module(f"cyclodes.{module}")
+            assert hasattr(home, attr), (path.name, f"{module}.{attr}")

@@ -225,7 +225,7 @@ def test_verify_order4_wrong_residue(capsys):
 ])
 def test_verify_bad_prime_same_error_for_every_condition(capsys, q, order):
     from cyclodes import dhm
-    named = dhm.ORDER12_CONDITIONS if order == 12 else dhm.ORDER4_CONDITIONS
+    named = dhm.CONDITIONS[order]
     results = {cond: run(capsys, "verify", "--q", str(q), "--order", str(order),
                          "--condition", cond)
                for cond in ("auto",) + named}
@@ -316,7 +316,10 @@ def test_search_rejects_missing_report_dir_before_sweeping(tmp_path, monkeypatch
     assert counts == {"cross_prime_family_report": 0}
 
 
-def test_output_into_missing_directory_is_an_error(tmp_path, capsys):
+def test_output_into_missing_directory_is_an_error(tmp_path, monkeypatch, capsys):
+    # search checks the directory of --output before any prime is swept
+    from cyclodes import search
+    counts = count_calls(monkeypatch, search, "cross_prime_family_report")
     target = tmp_path / "missing" / "hits.jsonl"
     for argv in (["search", "--d", "4", "--bound", "40", "--report-dir", str(tmp_path)],
                  ["classes", "--q", "13", "--d", "4"]):
@@ -324,6 +327,8 @@ def test_output_into_missing_directory_is_an_error(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(target) in err
         assert "Traceback" not in err
+    assert counts == {"cross_prime_family_report": 0}
+    assert not (tmp_path / "family_report_d4.csv").exists()
 
 
 def test_search_rejects_workers_below_one(tmp_path, capsys):
@@ -428,6 +433,64 @@ def test_sequence_order4(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["n"] == 58 and obj["weight"] == 28
+
+
+@pytest.mark.parametrize("d, bound, include_zero, n_cases", [
+    (12, 13, False, 4), (12, 13, True, 4),
+    (10, 11, False, 6), (10, 11, True, 6),
+    (4, 37, False, 10), (4, 37, True, 10),
+])
+def test_every_search_shape_becomes_a_three_level_sequence(tmp_path, capsys, d, bound,
+                                                           include_zero, n_cases):
+    # each shape_id of the family report, at each prime it passed, is a
+    # sequence recipe at its order
+    zero = ["--include-zero"] * include_zero
+    code, _, _ = run(capsys, "search", "--d", str(d), "--bound", str(bound),
+                     "--report-dir", str(tmp_path), *zero)
+    assert code == 0
+    rows = (tmp_path / f"family_report_d{d}.csv").read_text().splitlines()[1:]
+    cases = [(row.split(",")[0], q) for row in rows for q in row.split(",")[3].split()]
+    assert len(cases) == n_cases
+    for shape_id, q in cases:
+        code, out, err = run(capsys, "sequence", "--q", q, "--order", str(d),
+                             "--recipe", shape_id, *zero)
+        obj = json.loads(out)
+        assert (code, err, obj["three_level"], obj["ac_identity"]) == (0, "", True, True), \
+            (shape_id, q)
+
+
+@pytest.mark.parametrize("q, order, named, shape_id", [
+    (13, 12, "A,E", "I014589-J02468a"),
+    (37, 12, "C,F", "I03478b-J13579b"),
+    (29, 4, "0,2,3", "I02-J23"),          # (i, j, l) is I = {i, j}, J = {l, j}
+])
+def test_shape_id_builds_the_named_recipe(capsys, q, order, named, shape_id):
+    for zero in ((), ("--include-zero",)):
+        outputs = [run(capsys, "sequence", "--q", str(q), "--order", str(order),
+                       "--recipe", recipe, "--format", "csv", *zero)
+                   for recipe in (named, shape_id)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("q, order, recipe", [
+    (13, 4, "I01g-J0"),            # not an index digit
+    (13, 4, "I015-J0"),            # index 5 outside [0, 4)
+    (13, 12, "I01c-J012345"),      # index 12 outside [0, 12)
+    (13, 4, "I014589-J02468a"),    # an order-12 shape at order 4
+    (11, 10, "A,E"),               # named sets are order-12 recipes
+    (13, 4, "I01-J0"),             # |I| + |J| = 3, not 4
+    (13, 12, "I01234-J012345"),    # |I| + |J| = 11, not 12
+    (13, 4, "0,0,1"),              # a triple repeats an index
+    (13, 4, "I0011-J23"),          # a shape repeats an index
+    (13, 4, "0,1"),                # neither form
+    (17, 4, "0,1,2"),              # f = 4 even
+    (73, 12, "A,E"),               # f = 6 even
+])
+def test_bad_recipe_is_a_usage_error(capsys, q, order, recipe):
+    code, out, err = run(capsys, "sequence", "--q", str(q), "--order", str(order),
+                         "--recipe", recipe)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: recipe {recipe!r}: ") and err.count("\n") == 1
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,8 +1,8 @@
 import pytest
 
 from cyclodes import adsets, cyclotomy, dhm, ff
-from cyclodes.dhm import (SET_A, SET_B, SET_C, SET_D, SET_E, SET_F,
-                          Order4Recipe, Order12Recipe)
+from cyclodes.dhm import SET_A, SET_B, SET_C, SET_D, SET_E, SET_F
+from oracles import restricted_distance
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +26,7 @@ def test_corollary2_tm1_list():
 
 def test_corollary_lists_are_valid_triples():
     for with_zero in (False, True):
-        for cond in dhm.ORDER4_CONDITIONS:
+        for cond in dhm.CONDITIONS[4]:
             trips = dhm.corollary_triples(cond, with_zero)
             assert len(trips) == 8
             for (i, j, l) in trips:
@@ -75,52 +75,70 @@ def test_named_sets_are_rotations_of_each_other():
 
 def test_build_order4_sizes():
     s5 = cyclotomy.build_classes(5, 4)
-    c = dhm.build_order4(s5, Order4Recipe(0, 1, 3))
+    c = dhm.build(s5, dhm.triple_recipe((0, 1, 3)))
     assert c.k == 4                       # f = 1: four singleton classes
     s29 = cyclotomy.build_classes(29, 4)
-    c = dhm.build_order4(s29, Order4Recipe(0, 1, 3))
+    c = dhm.build(s29, dhm.triple_recipe((0, 1, 3)))
     assert c.k == 28
 
 
 def test_build_order4_q37_classifies():
     s = cyclotomy.build_classes(37, 4)
     cls = adsets.classify(adsets.distance_spectrum(
-        dhm.build_order4(s, Order4Recipe(1, 0, 3))))
+        dhm.build(s, dhm.triple_recipe((1, 0, 3)))))
     assert cls.parameters == (74, 36, 17, 54)
 
 
 def test_build_order4_rejects():
     s = cyclotomy.build_classes(29, 4)
-    with pytest.raises(ValueError):
-        dhm.build_order4(s, Order4Recipe(0, 0, 1))
+    for triple in ((0, 0, 1), (0, 1, 4)):
+        with pytest.raises(ValueError):
+            dhm.build(s, dhm.triple_recipe(triple))
     s17 = cyclotomy.build_classes(17, 4)   # 17 = 1 (mod 8)
     with pytest.raises(ValueError):
-        dhm.build_order4(s17, Order4Recipe(0, 1, 3))
+        dhm.build(s17, dhm.triple_recipe((0, 1, 3)))
 
 
 def test_build_order12_q13():
     s = cyclotomy.build_classes(13, 12, 2)
-    plain = dhm.build_order12(s, Order12Recipe(SET_A, SET_E))
+    plain = dhm.build(s, dhm.Recipe(12, SET_A, SET_E))
     assert plain.k == 12
     assert adsets.classify(adsets.distance_spectrum(plain)).parameters == (26, 12, 5, 18)
-    with_zero = dhm.build_order12(s, Order12Recipe(SET_A, SET_E, include_zero=True))
+    with_zero = dhm.build(s, dhm.Recipe(12, SET_A, SET_E, include_zero=True))
     assert with_zero.k == 13
     assert adsets.classify(adsets.distance_spectrum(with_zero)).parameters == (26, 13, 6, 19)
 
 
 def test_build_order12_q37_x1():
     s = cyclotomy.build_classes(37, 12, 2)
-    cset = dhm.build_order12(s, Order12Recipe(SET_A, SET_C))
+    cset = dhm.build(s, dhm.Recipe(12, SET_A, SET_C))
     assert adsets.classify(adsets.distance_spectrum(cset)).parameters == (74, 36, 17, 54)
+
+
+def test_recipe_normalises_and_checks_its_indices():
+    r = dhm.Recipe(12, [0, 1, 4, 5, 8, 9], (0, 2, 4, 6, 8, 10))
+    assert (r.I, r.J) == (SET_A, SET_E) and type(r.I) is type(r.J) is frozenset
+    assert dhm.SET_NAMES[r.I] == "A"
+    assert dhm.triple_recipe((0, 1, 3), True) == dhm.Recipe(4, {0, 1}, {3, 1}, True)
+    for d, I, J in ((4, {0, 4}, {1, 2}), (4, {-1, 0}, {1, 2}),
+                    (6, {0, 1, 2}, {3, 4}), (6, {0, 1, 2}, {0, 1, 2, 3})):
+        with pytest.raises(ValueError):
+            dhm.Recipe(d, I, J)
+
+
+def test_build_rejects_a_system_of_another_order():
+    s = cyclotomy.build_classes(13, 12)
+    with pytest.raises(ValueError, match="order-4 recipe needs an order-4 system"):
+        dhm.build(s, dhm.triple_recipe((0, 1, 3)))
 
 
 def test_build_order12_rejects():
     s = cyclotomy.build_classes(13, 12, 2)
     with pytest.raises(ValueError):
-        dhm.build_order12(s, Order12Recipe(frozenset({0, 1}), SET_E))
+        dhm.build(s, dhm.Recipe(12, frozenset({0, 1}), SET_E))
     s73 = cyclotomy.build_classes(73, 12)   # f = 6 even
     with pytest.raises(ValueError):
-        dhm.build_order12(s73, Order12Recipe(SET_A, SET_E))
+        dhm.build(s73, dhm.Recipe(12, SET_A, SET_E))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +166,7 @@ def test_predicted_dI_matches_counts():
             DI = s.union(I)
             for w in range(1, q):
                 assert dhm.predicted_dI(s, I, w, part) == \
-                    adsets.restricted_distance(DI, DI, w, q)
+                    restricted_distance(DI, DI, w, q)
 
 
 def test_predicted_dI_rejects_unknown_set():
@@ -181,7 +199,7 @@ def test_predicted_dIJ_matches_counts_everywhere():
             DI, DJ = s.union(I), s.union(J)
             for w in range(1, q):
                 assert dhm.predicted_dIJ(s, I, J, w, part) == \
-                    adsets.restricted_distance(DI, DJ, w, q), (q, I, J, w)
+                    restricted_distance(DI, DJ, w, q), (q, I, J, w)
 
 
 def test_predicted_dIJ_rejects_outside_families():
@@ -197,7 +215,7 @@ def test_predicted_spectrum_matches_counts():
         part = dhm.calibrate_order12(s)
         for (I, J) in _all_family_pairs():
             for z in (False, True):
-                cset = dhm.build_order12(s, Order12Recipe(I, J, z))
+                cset = dhm.build(s, dhm.Recipe(12, I, J, z))
                 spec = adsets.distance_spectrum(cset)
                 assert dhm.predicted_spectrum(q, part, I, J, z) == spec.histogram
 
@@ -381,7 +399,7 @@ def test_zero_slot_pairs_match_counts_q13():
     target = dhm.theorem_parameters(13, True)
     for cond in ("y1a", "y1b", "ym1a", "ym1b"):
         for (I, J) in dhm.theorem12_pairs(cond):
-            cset = dhm.build_order12(s, Order12Recipe(I, J, include_zero=True))
+            cset = dhm.build(s, dhm.Recipe(12, I, J, include_zero=True))
             ok = adsets.classify(adsets.distance_spectrum(cset)).parameters == target
             assert ok == ((I, J) in predicted), (I, J)
 

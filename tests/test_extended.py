@@ -7,7 +7,8 @@ import os
 
 import pytest
 
-from cyclodes import adsets, cyclotomy, dhm, ff
+from cyclodes import cyclotomy, dhm, ff
+from oracles import restricted_distance
 from test_cyclotomy import direct_jacobi_sum
 from test_dhm import assert_fit_matches_list_matching, assert_gated_lists_are_the_hits
 from test_search import unbalanced_hit_primes
@@ -47,11 +48,11 @@ def test_closed_forms_to_1000():
         for (I, J) in pairs:
             for w in range(1, q):
                 assert dhm.predicted_dIJ(s, I, J, w, part) == \
-                    adsets.restricted_distance(unions[I], unions[J], w, q), (q, I, J, w)
+                    restricted_distance(unions[I], unions[J], w, q), (q, I, J, w)
         for I, DI in unions.items():
             for w in range(1, q):
                 assert dhm.predicted_dI(s, I, w, part) == \
-                    adsets.restricted_distance(DI, DI, w, q), (q, I, w)
+                    restricted_distance(DI, DI, w, q), (q, I, w)
 
 
 def test_order4_calibration_to_500():

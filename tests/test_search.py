@@ -4,14 +4,35 @@ from math import comb
 import pytest
 
 from cyclodes import cyclotomy, dhm, search
-from cyclodes.adsets import DifferenceSpectrum, classify
+from cyclodes.adsets import DifferenceSpectrum, classify, distance_spectrum
+
+
+def enumerate_pairs(d: int, size_i: int, size_j: int):
+    """All C(d,size_i)*C(d,size_j) ordered pairs, lexicographic."""
+    if size_i > d or size_j > d:
+        raise ValueError("subset sizes cannot exceed d")
+    for I in combinations(range(d), size_i):
+        for J in combinations(range(d), size_j):
+            yield I, J
+
+
+def exhaustive_search_direct(q: int, d: int, include_zero: bool) -> list[search.SearchHit]:
+    """The sweep's oracle: every pair's set built by dhm.build and decided
+    by its direct spectrum; output identical to search.exhaustive_search."""
+    sys = cyclotomy.build_classes(q, d)
+    n, k, lam, tcount = target = dhm.theorem_parameters(q, include_zero)
+    return [search.SearchHit(q=q, d=d, I=I, J=J, include_zero=include_zero,
+                             n=n, k=k, lam=lam, t=tcount)
+            for I, J in enumerate_pairs(d, d // 2, d // 2)
+            if classify(distance_spectrum(dhm.build(
+                sys, dhm.Recipe(d, I, J, include_zero)))).parameters == target]
 
 
 def test_enumerate_pairs_counts():
-    assert sum(1 for _ in search.enumerate_pairs(4, 2, 2)) == 36
-    assert sum(1 for _ in search.enumerate_pairs(6, 3, 3)) == 400
-    assert comb(12, 6) ** 2 == sum(1 for _ in search.enumerate_pairs(12, 6, 6)) == 853776
-    first = next(iter(search.enumerate_pairs(4, 2, 2)))
+    assert sum(1 for _ in enumerate_pairs(4, 2, 2)) == 36
+    assert sum(1 for _ in enumerate_pairs(6, 3, 3)) == 400
+    assert comb(12, 6) ** 2 == sum(1 for _ in enumerate_pairs(12, 6, 6)) == 853776
+    first = next(iter(enumerate_pairs(4, 2, 2)))
     assert first == ((0, 1), (0, 1))
 
 
@@ -102,7 +123,7 @@ def test_vectorized_matches_direct_route():
     for q, d in ((13, 4), (29, 4), (7, 6)):
         for z in (False, True):
             fast = search.exhaustive_search(q, d, z)
-            slow = search.exhaustive_search_direct(q, d, z)
+            slow = exhaustive_search_direct(q, d, z)
             assert fast == slow, (q, d, z)
 
 
@@ -111,8 +132,6 @@ def test_vectorized_hits_reverified_at_orders_8_10():
     # vectorized hit and a seeded sample of non-hits go through the direct
     # spectrum.  q=11 carries the sporadic order-10 hits.
     import random
-    from cyclodes import cyclotomy
-    from cyclodes.adsets import CharacteristicSet, classify, distance_spectrum
 
     rng = random.Random(41)
     for q, d in ((41, 8), (11, 10)):
@@ -123,16 +142,12 @@ def test_vectorized_hits_reverified_at_orders_8_10():
             target = dhm.theorem_parameters(q, z)
 
             def direct_params(I, J):
-                part0 = s.union(I)
-                part1 = s.union(J)
-                if z:
-                    part0 = part0 | {0}
-                cset = CharacteristicSet(q=q, part0=part0, part1=part1)
+                cset = dhm.build(s, dhm.Recipe(d, I, J, z))
                 return classify(distance_spectrum(cset)).parameters
 
             for h in hits:
                 assert direct_params(h.I, h.J) == target, (q, d, z, h)
-            all_pairs = list(search.enumerate_pairs(d, d // 2, d // 2))
+            all_pairs = list(enumerate_pairs(d, d // 2, d // 2))
             for I, J in rng.sample(all_pairs, 60):
                 if (I, J) not in hit_keys:
                     assert direct_params(I, J) != target, (q, d, z, I, J)

@@ -8,7 +8,7 @@ from cyclodes.adsets import CharacteristicSet
 
 def _theorem_set_q13(include_zero=False):
     s = cyclotomy.build_classes(13, 12, 2)
-    return dhm.build_order12(s, dhm.Order12Recipe(dhm.SET_A, dhm.SET_E, include_zero))
+    return dhm.build(s, dhm.Recipe(12, dhm.SET_A, dhm.SET_E, include_zero))
 
 
 def test_flatten_examples():
@@ -58,7 +58,7 @@ def test_theorem_sequence_q13():
 def test_ac_identity_various_sets():
     s29 = cyclotomy.build_classes(29, 4)
     for include_zero in (False, True):
-        c4 = dhm.build_order4(s29, dhm.Order4Recipe(0, 2, 3, include_zero))
+        c4 = dhm.build(s29, dhm.triple_recipe((0, 2, 3), include_zero))
         assert seqkit.verify_ac_identity(c4)
     assert seqkit.verify_ac_identity(_theorem_set_q13(include_zero=True))
     lopsided = CharacteristicSet(q=13, part0=frozenset({0, 1, 5}),
@@ -157,7 +157,7 @@ def test_construction_sequence_level_multiplicities():
     # multiplicities total n)
     for q, (I, J) in ((13, (dhm.SET_A, dhm.SET_E)), (37, (dhm.SET_A, dhm.SET_C))):
         s = cyclotomy.build_classes(q, 12)
-        cset = dhm.build_order12(s, dhm.Order12Recipe(I, J))
+        cset = dhm.build(s, dhm.Recipe(12, I, J))
         prof = seqkit.autocorrelation(seqkit.set_sequence(cset))
         assert prof.levels == {2 * q: 1, 2: (q + 1) // 2, -2: 3 * (q - 1) // 2}
 

@@ -210,8 +210,8 @@ def test_order4_hits_match_direct_spectra():
         for include_zero in (False, True):
             target = dhm.theorem_parameters(q, include_zero)
             direct = [t for t in permutations(range(4), 3)
-                      if classify(distance_spectrum(dhm.build_order4(
-                          sys, dhm.Order4Recipe(*t, include_zero)))).parameters == target]
+                      if classify(distance_spectrum(dhm.build(
+                          sys, dhm.triple_recipe(t, include_zero)))).parameters == target]
             assert dhm.order4_hit_triples(sys, include_zero) == direct
 
 
