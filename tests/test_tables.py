@@ -164,6 +164,9 @@ TABLE_OUTPUT_REFERENCE = {
     ("cycnums", 229, 4): "7a854606ed456bfc15398bf17eb71b9865256a58dac1c81a80a9fe5c67f60cca",
     ("cycnums", 229, 6): "9d0c3bef1215e5750cb854aa13e10b26e2e2c0f61c9b18524268a9a584dfd303",
     ("cycnums", 229, 12): "f0a7d8c938c9691e7cc5fbc9f461674d5af3b403cf8b9d9720a2557db4de1f35",
+    # d = TABLE_D_LIMIT, and a case-1 prime near 2**20
+    ("cycnums", 12289, 1024): "f200a7503d7babbcbdbc092e73345493085bddf135bfda184de8188625a77cee",
+    ("cycnums", 1046557, 12): "b7eb7e590b5e6832826082954534b56c2afc5835bfc70fd69191e57a46e6d458",
 }
 
 
