@@ -9,11 +9,10 @@ three-level autocorrelation.
 
 from .adsets import (CharacteristicSet, DifferenceSpectrum, SetClassification,
                      classify, distance_spectrum)
-from .cyclotomy import (CaseClassification, CyclotomicInteger12, CyclotomicNumberTable,
-                        CyclotomicSystem, QuadraticPartition, build_classes,
-                        c_parameter, classify_case, cyclotomic_numbers, jacobi_sum,
-                        m1_predicted, quadratic_partitions, reduce_hk, resolve_signs,
-                        stratum_spectrum)
+from .cyclotomy import (CaseClassification, CyclotomicInteger12, CyclotomicSystem,
+                        QuadraticPartition, build_classes, c_parameter, classify_case,
+                        cyclotomic_numbers, jacobi_sum, m1_predicted,
+                        quadratic_partitions, reduce_hk, resolve_signs, stratum_spectrum)
 from .dhm import (Recipe, build, calibrate_order4, calibrate_order12,
                   corollary_triples, predicted_dI, predicted_dIJ, theorem12_pairs,
                   theorem_parameters, triple_recipe, verify_family)

@@ -75,18 +75,18 @@ def cmd_cycnums(args) -> int:
     table = sys_.table
     failures = []
 
-    total_ok = table.total() == args.q - 2
+    total_ok = int(table.sum()) == args.q - 2
     if not total_ok:
         failures.append("total")
     minus_one = sys_.minus_one_class
     rows_ok = all(s == sys_.f - (1 if h == minus_one else 0)
-                  for h, s in enumerate(table.row_sums()))
+                  for h, s in enumerate(table.sum(axis=1).tolist()))
     if not rows_ok:
         failures.append("row-sums")
 
     checks = {"total_is_q_minus_2": total_ok, "row_sum_identity": rows_ok}
     if args.d == 12 and sys_.f % 2 == 1:
-        eq_ok = all(table.counts[h][k]
+        eq_ok = all(table[h, k]
                     == table[cyclotomy.label_to_pair(cyclotomy.reduce_hk(h, k))]
                     for h in range(12) for k in range(12))
         checks["equality_table"] = eq_ok
@@ -102,19 +102,15 @@ def cmd_cycnums(args) -> int:
             if case.case_number != 1:
                 m1_status = f"case = {case.case_number} != 1, skipped"
             else:
-                part = cyclotomy.resolve_signs(
-                    sys_, cyclotomy.quadratic_partitions(args.q))
-                predicted = cyclotomy.m1_predicted(args.q, part)
-                actual = cyclotomy.brute_force_canonical(table)
-                m1_ok = predicted == actual
-                checks["m1_matrix"] = m1_ok
-                m1_status = "PASS" if m1_ok else "FAIL"
-                if not m1_ok:
-                    failures.append("m1")
+                # resolve_signs raises unless one B sign makes M1_MATRIX
+                # reproduce all 31 counted numbers
+                cyclotomy.resolve_signs(sys_, cyclotomy.quadratic_partitions(args.q))
+                checks["m1_matrix"] = True
+                m1_status = "PASS"
 
     if args.format == "json":
         payload = {"q": args.q, "d": args.d, "g": sys_.g,
-                   "counts": [list(r) for r in table.counts], "checks": checks}
+                   "counts": table.tolist(), "checks": checks}
         if m1_status is not None:
             payload["m1"] = m1_status
         _out(args, _json_dumps(payload))

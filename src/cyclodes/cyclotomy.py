@@ -7,8 +7,9 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
     i.e. a lands in class Ind(a) mod d.  The classes partition GF(q)*.
   * The cyclotomic number (m,n)_d = |(D_m + 1) & D_n| is always computed here
     by one exact count over GF(q)* (count a with a in D_m, a+1 in D_n), a
-    single bincount of the class pairs; the closed-form coefficient matrix
-    below is a cross-check, never the source of truth.
+    single bincount of the class pairs kept as a read-only (d, d) int64 array,
+    table[m, n] = (m,n)_d; the closed-form coefficient matrix below is a
+    cross-check, never the source of truth.
   * Jacobi sums live in the ring Z[beta], beta = exp(2*pi*1j/12), represented
     exactly on the integral basis {1, beta, beta**2, beta**3} with
     beta**4 = beta**2 - 1.  No floating point anywhere.  Each J(m, n) is a
@@ -85,8 +86,9 @@ class CyclotomicSystem:
         return (self.d * self.f // 2) % self.d
 
     @cached_property
-    def table(self) -> CyclotomicNumberTable:
-        """The exact (m,n)_d table, counted once per system on first use."""
+    def table(self) -> np.ndarray:
+        """The exact (m,n)_d table as a read-only (d, d) int64 array,
+        table[m, n] = (m,n)_d, counted once per system on first use."""
         return cyclotomic_numbers(self)
 
 
@@ -105,43 +107,25 @@ def build_classes(q: int, d: int, g: int | None = None) -> CyclotomicSystem:
                             class_of=class_of)
 
 
-@dataclass(frozen=True)
-class CyclotomicNumberTable:
-    """Exact d x d table of cyclotomic numbers (m,n)_d."""
-
-    q: int
-    d: int
-    counts: tuple[tuple[int, ...], ...]
-
-    def __getitem__(self, mn: tuple[int, int]) -> int:
-        m, n = mn
-        return self.counts[m % self.d][n % self.d]
-
-    def total(self) -> int:
-        return sum(map(sum, self.counts))
-
-    def row_sums(self) -> list[int]:
-        return [sum(row) for row in self.counts]
-
-
-def cyclotomic_numbers(sys: CyclotomicSystem) -> CyclotomicNumberTable:
+def cyclotomic_numbers(sys: CyclotomicSystem) -> np.ndarray:
     """All (m,n)_d in one count: each a not in {0, -1} adds one to the pair
-    (class of a, class of a + 1), a bincount of the codes cls[a]*d + cls[a+1]."""
+    (class of a, class of a + 1), a bincount of the codes cls[a]*d + cls[a+1],
+    returned as a read-only (d, d) int64 array."""
     d, q, cls = sys.d, sys.q, sys.class_of
     if d > TABLE_D_LIMIT:
         raise ValueError(f"d={d} is too large for the (m,n)_d table: "
                          "d must be at most 2**10")
     pairs = cls[1:q - 1] * d
     pairs += cls[2:q]
-    counts = np.bincount(pairs, minlength=d * d).reshape(d, d).tolist()
-    return CyclotomicNumberTable(q=q, d=d, counts=tuple(map(tuple, counts)))
+    table = np.bincount(pairs, minlength=d * d).astype(np.int64, copy=False).reshape(d, d)
+    table.flags.writeable = False
+    return table
 
 
-def table_to_csv(table: CyclotomicNumberTable) -> str:
+def table_to_csv(table: np.ndarray) -> str:
     lines = ["m,n,count"]
-    for m in range(table.d):
-        for n in range(table.d):
-            lines.append(f"{m},{n},{table.counts[m][n]}")
+    for m, row in enumerate(table.tolist()):
+        lines += [f"{m},{n},{count}" for n, count in enumerate(row)]
     return "\n".join(lines) + "\n"
 
 
@@ -149,14 +133,15 @@ def table_to_csv(table: CyclotomicNumberTable) -> str:
 # stratum spectrum: difference histograms from the table
 # ---------------------------------------------------------------------------
 
-def stratum_distance(table: CyclotomicNumberTable, I, J, h: int) -> int:
+def stratum_distance(rows: list[list[int]], I, J, h: int) -> int:
     """d_{I,J}(w) = |(D_I + w) & D_J| for every w with w**-1 in D_h.
 
     Multiplying by w**-1 is a bijection sending D_i + w to D_{i+h} + 1, so
-    the count is the class sum of (i+h, j+h)_d over i in I, j in J.
+    the count is the class sum of (i+h, j+h)_d over i in I, j in J.  rows is
+    the table as Python lists (sys.table.tolist()), read once by the caller.
     """
-    d, counts = table.d, table.counts
-    return sum(counts[(i + h) % d][(j + h) % d] for i in I for j in J)
+    d = len(rows)
+    return sum(rows[(i + h) % d][(j + h) % d] for i in I for j in J)
 
 
 def zero_term(I, h: int, d: int, minus_one_class: int) -> int:
@@ -169,7 +154,7 @@ def zero_term(I, h: int, d: int, minus_one_class: int) -> int:
     return ((-h) % d in idx) + ((minus_one_class - h) % d in idx)
 
 
-def stratum_spectrum(table: CyclotomicNumberTable, I, J,
+def stratum_spectrum(sys: CyclotomicSystem, I, J,
                      include_zero: bool) -> dict[int, int]:
     """Exact difference histogram of {0} x D_I u {1} x D_J in Z2 x Zq, with
     (0,0) adjoined when include_zero is set, from the (m,n)_d table alone.
@@ -180,15 +165,14 @@ def stratum_spectrum(table: CyclotomicNumberTable, I, J,
     scalar reference for dhm.hit_pairs and the closed forms.  Equals
     adsets.distance_spectrum(...).histogram, the direct-count oracle.
     """
-    q, d = table.q, table.d
-    f = (q - 1) // d
-    minus_one = (d * f // 2) % d
+    d, f, minus_one = sys.d, sys.f, sys.minus_one_class
+    rows = sys.table.tolist()
     I = {i % d for i in I}
     J = {j % d for j in J}
     hist: dict[int, int] = {}
     for h in range(d):
-        v0 = stratum_distance(table, I, I, h) + stratum_distance(table, J, J, h)
-        v1 = stratum_distance(table, I, J, h) + stratum_distance(table, J, I, h)
+        v0 = stratum_distance(rows, I, I, h) + stratum_distance(rows, J, J, h)
+        v1 = stratum_distance(rows, I, J, h) + stratum_distance(rows, J, I, h)
         if include_zero:
             v0 += zero_term(I, h, d, minus_one)
             v1 += zero_term(J, h, d, minus_one)
@@ -348,7 +332,7 @@ def jacobi_sum(sys: CyclotomicSystem, m: int, n: int) -> CyclotomicInteger12:
         raise ValueError("Jacobi sums are implemented for order 12 only")
     e = sys.minus_one_class
     weight = [0] * 12          # weight[k]: how many terms equal beta**k
-    for i, row in enumerate(sys.table.counts):
+    for i, row in enumerate(sys.table.tolist()):
         for j, count in enumerate(row):
             weight[(m * (i - e) + n * j) % 12] += count
     total = CyclotomicInteger12()
@@ -546,14 +530,15 @@ def m1_predicted(q: int, part: QuadraticPartition) -> dict[str, int]:
     return out
 
 
-def brute_force_canonical(table: CyclotomicNumberTable) -> dict[str, int]:
+def brute_force_canonical(table: np.ndarray) -> dict[str, int]:
     """Exact values of the 31 canonical numbers from a full order-12 table."""
-    if table.d != 12:
+    if table.shape != (12, 12):
         raise ValueError("canonical labels are defined for order 12")
+    rows = table.tolist()
     out = {}
     for label in CANONICAL_LABELS:
         h, k = label_to_pair(label)
-        out[label] = table.counts[h][k]
+        out[label] = rows[h][k]
     return out
 
 
@@ -569,7 +554,7 @@ def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition):
         return None
     if sys.index(2) % 3 != 0 or sys.index(3) % 4 != 0:
         return None
-    target = 144 * sys.table.counts[0][2]
+    target = 144 * int(sys.table[0, 2])
     signs = set()
     cands = {part.B_abs, -part.B_abs}
     for b in cands:
@@ -603,8 +588,8 @@ def resolve_signs(sys: CyclotomicSystem, part: QuadraticPartition) -> QuadraticP
     if sys.f % 2 == 0:
         raise ValueError("sign resolution requires f odd")
     q = sys.q
-    table = sys.table
-    d_vals = {stratum_distance(table, _CAL_SET, _CAL_SET, h) for h in range(0, 12, 2)}
+    rows = sys.table.tolist()
+    d_vals = {stratum_distance(rows, _CAL_SET, _CAL_SET, h) for h in range(0, 12, 2)}
     fits = [y for y in sorted({part.y_abs, -part.y_abs}, reverse=True)
             if d_vals == {(q - 2 * y - 3) // 4} and (q - 2 * y - 3) % 4 == 0]
     if len(fits) != 1:
@@ -614,7 +599,7 @@ def resolve_signs(sys: CyclotomicSystem, part: QuadraticPartition) -> QuadraticP
 
     case = classify_case(sys)
     if case.case_number == 1:
-        actual = brute_force_canonical(table)
+        actual = brute_force_canonical(sys.table)
         good = []
         for b in sorted({part.B_abs, -part.B_abs}, reverse=True):
             cand = replace(out, B_signed=b)

@@ -193,14 +193,13 @@ def hit_pairs(sys: CyclotomicSystem,
     2q + 2 < 2**21.
     """
     d, q, f = sys.d, sys.q, sys.f
-    tnp = np.array(sys.table.counts, dtype=np.int64)
     subsets = list(combinations(range(d), d // 2))
     member = np.zeros((len(subsets), d), dtype=np.int64)
     for i, s in enumerate(subsets):
         member[i, list(s)] = 1
     _, _, lam, tcount = theorem_parameters(q, include_zero)
     # P[h, a, j] = sum_{i in A} (i+h, j+h)_d
-    P = np.stack([member @ np.roll(tnp, (-h, -h), axis=(0, 1)) for h in range(d)])
+    P = np.stack([member @ np.roll(sys.table, (-h, -h), axis=(0, 1)) for h in range(d)])
     diag = np.einsum("haj,aj->ha", P, member)
     if include_zero:
         hs = np.arange(d)
@@ -386,7 +385,7 @@ def order4_hit_triples(sys: CyclotomicSystem, include_zero: bool) -> list[tuple[
     target = theorem_parameters(q, include_zero)
     hits = []
     for (i, j, l) in permutations(range(4), 3):
-        hist = cyclotomy.stratum_spectrum(sys.table, {i, j}, {l, j}, include_zero)
+        hist = cyclotomy.stratum_spectrum(sys, {i, j}, {l, j}, include_zero)
         spec = DifferenceSpectrum(n=2 * q, k=4 * sys.f + include_zero, histogram=hist)
         if classify(spec).parameters == target:
             hits.append((i, j, l))

@@ -43,13 +43,13 @@ def test_criterion_1_cyclotomic_identities():
     for q in primes:
         s = cyclotomy.build_classes(q, 12)
         table = cyclotomy.cyclotomic_numbers(s)
-        ok &= table.total() == q - 2
-        for h, rs in enumerate(table.row_sums()):
+        ok &= table.sum() == q - 2
+        for h, rs in enumerate(table.sum(axis=1).tolist()):
             ok &= rs == s.f - (1 if h == 6 else 0)
         for h in range(12):
             for k in range(12):
                 ch, ck = cyclotomy.label_to_pair(cyclotomy.reduce_hk(h, k))
-                ok &= table.counts[h][k] == table.counts[ch][ck]
+                ok &= table[h, k] == table[ch, ck]
     elapsed = time.perf_counter() - t0
     _announce(1, "cyclotomic identities q<=1000", t0, ok and elapsed < 5.0)
     assert ok

@@ -48,6 +48,18 @@ def test_cycnums_check_m1(capsys):
     assert "skipped" in json.loads(out)["m1"]
 
 
+def test_cycnums_check_m1_fails_on_a_corrupted_matrix_row(monkeypatch, capsys):
+    # (0,9)_12 predicted one too high: still a nonnegative integer, so only the
+    # comparison with the counted table can catch it
+    from cyclodes import cyclotomy
+
+    row = cyclotomy.M1_MATRIX["09"]
+    monkeypatch.setitem(cyclotomy.M1_MATRIX, "09", row[:5] + (row[5] + 144,))
+    code, out, err = run(capsys, "cycnums", "--q", "13", "--d", "12", "--check-m1")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("check failed: ")
+
+
 def test_cycnums_d2(capsys):
     code, out, _ = run(capsys, "cycnums", "--q", "13", "--d", "2")
     assert code == 0

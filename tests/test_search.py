@@ -63,7 +63,7 @@ def unbalanced_hits(q, d):
                 continue
             for I in combinations(range(d), a):
                 for J in combinations(range(d), d - a):
-                    hist = cyclotomy.stratum_spectrum(s.table, I, J, include_zero)
+                    hist = cyclotomy.stratum_spectrum(s, I, J, include_zero)
                     spec = DifferenceSpectrum(n=2 * q, k=q - 1 + include_zero, histogram=hist)
                     n += classify(spec).parameters == target
         counts.append(n)

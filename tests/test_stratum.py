@@ -24,11 +24,6 @@ def classes(q, d):
     return cyclotomy.build_classes(q, d)
 
 
-@lru_cache(maxsize=None)
-def table(q, d):
-    return cyclotomy.cyclotomic_numbers(classes(q, d))
-
-
 @st.composite
 def constructions(draw):
     q = draw(st.sampled_from(PRIMES))
@@ -52,7 +47,7 @@ def counted_histogram(q, d, I, J, include_zero):
 @example((13, 12, frozenset(), frozenset(), True))                 # only (0,0)
 def test_stratum_spectrum_equals_counted(case):
     q, d, I, J, include_zero = case
-    assert cyclotomy.stratum_spectrum(table(q, d), I, J, include_zero) == \
+    assert cyclotomy.stratum_spectrum(classes(q, d), I, J, include_zero) == \
         counted_histogram(q, d, I, J, include_zero)
 
 
@@ -81,7 +76,7 @@ def sweep_pairs(draw):
 @given(sweep_pairs())
 def test_sweep_decision_equals_stratum_classification(case):
     q, include_zero, I, J = case
-    hist = cyclotomy.stratum_spectrum(table(q, 12), I, J, include_zero)
+    hist = cyclotomy.stratum_spectrum(classes(q, 12), I, J, include_zero)
     spec = DifferenceSpectrum(n=2 * q, k=q - 1 + include_zero, histogram=hist)
     is_hit = classify(spec).parameters == dhm.theorem_parameters(q, include_zero)
     assert is_hit == ((I, J) in sweep_hits(q, include_zero))
@@ -95,7 +90,6 @@ def full_grid_hit_pairs(sys, include_zero):
     """Reference sweep: every stratum on the full C(d, d/2)**2 grid, one dense
     integer matrix product per class h."""
     d, q, f = sys.d, sys.q, sys.f
-    tnp = np.array(sys.table.counts, dtype=np.int64)
     subsets = list(combinations(range(d), d // 2))
     ns = len(subsets)
     member = np.zeros((ns, d), dtype=np.int64)
@@ -106,7 +100,7 @@ def full_grid_hit_pairs(sys, include_zero):
     lam_count = np.zeros((ns, ns), dtype=np.int64)
     for h in range(d):
         idx = [(i + h) % d for i in range(d)]
-        th = tnp[np.ix_(idx, idx)]
+        th = sys.table[np.ix_(idx, idx)]
         m = member @ th @ member.T   # m[a,b] = sum_{i in A, j in B} (i+h, j+h)
         diag = m.diagonal()
         if include_zero:
@@ -157,7 +151,7 @@ def test_narrowed_sweep_equals_full_grid_on_synthetic_tables():
         counts = [[1 - (rng.random() < down) + (rng.random() < up) for _ in range(d)]
                   for _ in range(d)]
         sys = SimpleNamespace(d=d, q=q, f=(q - 1) // d, minus_one_class=d // 2,
-                              table=SimpleNamespace(counts=counts))
+                              table=np.array(counts, dtype=np.int64))
         for include_zero in (False, True):
             got = dhm.hit_pairs(sys, include_zero)
             assert got == full_grid_hit_pairs(sys, include_zero), (seed, include_zero)
@@ -176,7 +170,7 @@ def test_predicted_spectrum_equals_stratum_spectrum():
         for I, J in pairs:
             for include_zero in (False, True):
                 assert dhm.predicted_spectrum(q, part, I, J, include_zero) == \
-                    cyclotomy.stratum_spectrum(table(q, 12), I, J, include_zero), \
+                    cyclotomy.stratum_spectrum(classes(q, 12), I, J, include_zero), \
                     (q, sorted(I), sorted(J), include_zero)
                 cases += 1
     assert cases == 1056
@@ -259,5 +253,5 @@ def test_order12_readers_share_one_table(monkeypatch):
     sys = cyclotomy.build_classes(229, 12)
     part = cyclotomy.resolve_signs(sys, cyclotomy.quadratic_partitions(229))
     assert cyclotomy.cubic_residue_02_check(sys, part)
-    assert sys.table.total() == 229 - 2
+    assert sys.table.sum() == 229 - 2
     assert calls == [(229, 12)]

@@ -41,7 +41,7 @@ def loop_counts(class_of, d):
     counts = [[0] * d for _ in range(d)]
     for a in range(1, q - 1):
         counts[class_of[a]][class_of[a + 1]] += 1
-    return tuple(map(tuple, counts))
+    return counts
 
 
 def loop_union(class_of, indices, d):
@@ -73,7 +73,7 @@ def test_array_tables_equal_loops(q, data):
             assert s.class_members(i) == members
             assert s.members_by_class()[i] == members
             assert s.class_members(i + d) == members
-        assert s.table.counts == loop_counts(class_of, d)
+        assert s.table.tolist() == loop_counts(class_of, d)
         # The last class, d - 1, is what class_of[0] = -1 would wrap to.
         drawn = set() if data is None else data.draw(
             st.sets(st.integers(-d, 2 * d - 1)), label=f"I at d={d}")
@@ -90,12 +90,13 @@ def test_tables_exact_at_the_top_of_the_domain():
     ind = loop_index(TOP_PRIME, g)
     assert np.array_equal(t.ind, np.array(ind, dtype=np.int64))
     s = cyclotomy.build_classes(TOP_PRIME, 12, g)
-    assert s.table.counts == loop_counts(loop_classes(ind, 12), 12)
+    assert s.table.tolist() == loop_counts(loop_classes(ind, 12), 12)
 
 
 def test_tables_are_read_only():
     s = cyclotomy.build_classes(37, 12)
-    for array in (s.class_of, s.index.ind):
+    assert s.table.dtype == np.int64 and s.table.shape == (12, 12)
+    for array in (s.class_of, s.index.ind, s.table):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[1] = 0
@@ -106,8 +107,14 @@ def test_tables_are_read_only():
 
 def test_scalars_are_python_ints():
     s = cyclotomy.build_classes(13, 12)
-    values = [s.index(3), s.klass(5), *s.class_members(4), *s.union({0, 11}),
-              *(c for row in s.table.counts for c in row)]
+    values = [s.index(3), s.klass(5), *s.class_members(4), *s.union({0, 11})]
+    for hist in (cyclotomy.stratum_spectrum(s, {0, 1, 4, 5, 8, 9}, {0, 2, 4, 6, 8, 10}, z)
+                 for z in (False, True)):
+        values += [*hist, *hist.values()]
+    values += cyclotomy.brute_force_canonical(s.table).values()
+    for m, n in ((1, 1), (3, 1), (5, 1)):
+        J = cyclotomy.jacobi_sum(s, m, n)
+        values += [J.c0, J.c1, J.c2, J.c3]
     case = cyclotomy.classify_case(s)
     values += [case.M, case.M_prime, case.c_index, case.case_number]
     assert values and all(type(v) is int for v in values)
