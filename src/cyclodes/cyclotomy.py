@@ -117,9 +117,10 @@ def cyclotomic_numbers(sys: CyclotomicSystem) -> np.ndarray:
                          "d must be at most 2**10")
     pairs = cls[1:q - 1] * d
     pairs += cls[2:q]
-    table = np.bincount(pairs, minlength=d * d).astype(np.int64, copy=False).reshape(d, d)
-    table.flags.writeable = False
-    return table
+    counts = np.bincount(pairs, minlength=d * d).astype(np.int64, copy=False)
+    # read-only before the reshape, so the (d, d) view's base is read-only too
+    counts.flags.writeable = False
+    return counts.reshape(d, d)
 
 
 def table_to_csv(table: np.ndarray) -> str:
