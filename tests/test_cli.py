@@ -164,7 +164,9 @@ def test_verify_order12_output_matches_reference(capsys, q, fmt):
 
 # sha256 of "exit code\nstdout stderr" of sequence plain then --include-zero,
 # each in json, csv and text, per (q, order, recipe): A,E and one named recipe
-# of each order-12 family, and an order-4 triple; recorded with the verify pins
+# of each order-12 family, and an order-4 triple; recorded with the verify pins.
+# The q = 733 and 1093 pins, where the sequence spans many blocks of shifts,
+# were recorded from the pure-Python autocorrelation loop.
 SEQUENCE_DIGESTS = {
     (13, 12, "A,E"): "22e805f24029e48a860db4e97d343f2a45fd0ea1b638da2c68febabacbdaaede",
     (13, 12, "A,C"): "65e8a0e264a2c68744b192b516a400d6c7a5d221fce5d3a082fd5042db375eeb",
@@ -179,6 +181,8 @@ SEQUENCE_DIGESTS = {
     (37, 12, "B,E"): "060e5671624e3c1df2a4da3f3d16e49cb3b5282c71305645afdb868cbeeb44d7",
     (37, 12, "C,F"): "c2611a859975d6a21e30b8752ddb8b1d55701edaa335fe3a19093720c523965e",
     (29, 4, "0,2,3"): "f9517a95ad62d493608bf984cdac54912996fb22026292d508a54b03ca0b8f3d",
+    (733, 12, "A,E"): "1e624ed76a7deb7aa3fd77a2fc6e1a7db2c3e38c0072a93aa27eae3161675f0a",
+    (1093, 12, "B,F"): "54be7e37737a337579221e7f8c09bb35860bc17f22a59a73c68cb6896e15f6ed",
 }
 
 
@@ -192,6 +196,19 @@ def test_sequence_output_matches_reference(capsys, q, order, recipe):
                                  "--recipe", recipe, "--format", fmt, *zero)
             digest.update(f"{code}\n{out}{err}".encode())
     assert digest.hexdigest() == SEQUENCE_DIGESTS[(q, order, recipe)]
+
+
+def test_sequence_json_matches_reference_near_the_limit(capsys):
+    # the same digest form in json alone at the largest prime below 2**13 with
+    # q = 13 (mod 24), recorded from the pure-Python autocorrelation loop
+    import hashlib
+    digest = hashlib.sha256()
+    for zero in ((), ("--include-zero",)):
+        code, out, err = run(capsys, "sequence", "--q", "8101", "--order", "12",
+                             "--recipe", "A,E", "--format", "json", *zero)
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == \
+        "afc7b142afe811b9d04a9f355249cdb0ac8e53cc6ae0e74bb6e758c4435b1375"
 
 
 def count_calls(monkeypatch, module, *names):
