@@ -13,9 +13,10 @@ so AC(0) = n and, for a sequence with support D of size k,
 AC(tau) = n - 4*(k - d_D(tau)) for every tau != 0.  That identity ties the
 sequence layer exactly to the difference spectrum and is re-verified, not
 assumed, wherever a sequence came from a set: autocorrelation sums the
-flattened Z_{2q} bits directly, and verify_ac_identity holds it against the
-set's difference function (adsets.difference_function), counted on Z2 x Zq.
-The two sides share no code.
+flattened Z_{2q} bits directly, in numpy blocks of shifts, and reads nothing
+but the bits; verify_ac_identity holds it against the set's difference
+function (adsets.difference_function), counted on Z2 x Zq.  The two sides
+share no code.
 """
 
 from __future__ import annotations
@@ -23,10 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .adsets import CharacteristicSet, difference_function
 # Re-exported only because perfbench/test_perfbench.py pins these binding sites.
 from .adsets import distance_at, distance_spectrum  # noqa: F401
+
+# Bits compared per autocorrelation block.  Periods 2q stay below 2**14, so a
+# block is many shifts and its bool temporary at most 256 KB at every q.
+AC_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -108,14 +114,20 @@ def characteristic_sequence(support, n: int) -> BinarySequence:
 
 
 def autocorrelation(seq: BinarySequence) -> AutocorrelationProfile:
-    """AC by direct summation over all shifts."""
+    """AC by direct summation over all shifts, a block of shifts at a time.
+
+    Row tau of the n length-n windows over bits + bits[:-1] is the sequence
+    shifted by tau, so its agreements with the bits count the t where
+    s_t == s_{t+tau}, and AC(tau) = 2*agree - n.  The windows are a view.
+    """
     n = seq.n
-    bits = seq.bits
-    vals = []
-    for tau in range(n):
-        agree = sum(1 for t in range(n) if bits[t] == bits[(t + tau) % n])
-        vals.append(2 * agree - n)
-    return AutocorrelationProfile(values=tuple(vals))
+    bits = np.array(seq.bits, dtype=np.int8)
+    windows = sliding_window_view(np.concatenate((bits, bits[:-1])), n)
+    rows = max(1, AC_BLOCK // max(n, 1))
+    agree = np.empty(n, dtype=np.int64)
+    for i in range(0, n, rows):
+        agree[i:i + rows] = np.count_nonzero(windows[i:i + rows] == bits, axis=1)
+    return AutocorrelationProfile(values=tuple((2 * agree - n).tolist()))
 
 
 def set_sequence(cset: CharacteristicSet) -> BinarySequence:

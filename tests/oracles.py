@@ -3,7 +3,8 @@
 restricted_distance counts d_{A,B}(w) pair by pair; delta_term is the
 class-shift rule for |D_I & {w2, -w2}|, checked against the direct count in
 test_adsets.py.  The closed forms and the difference-function identities
-are held to both.
+are held to both.  autocorrelation_direct is the shift-by-shift sum that
+seqkit.autocorrelation computes in numpy blocks.
 """
 
 from cyclodes.cyclotomy import CyclotomicSystem, zero_term
@@ -28,3 +29,13 @@ def delta_term(I, sys: CyclotomicSystem, w2: int) -> int:
         raise ValueError("delta term requires w2 != 0")
     h = (-sys.klass(w2)) % sys.d  # class of w2**-1
     return zero_term(I, h, sys.d, sys.minus_one_class)
+
+
+def autocorrelation_direct(bits: tuple[int, ...]) -> tuple[int, ...]:
+    """AC(tau) = sum_t (-1)**(s_t + s_{t+tau}), indices mod n, term by term."""
+    n = len(bits)
+    vals = []
+    for tau in range(n):
+        agree = sum(1 for t in range(n) if bits[t] == bits[(t + tau) % n])
+        vals.append(2 * agree - n)
+    return tuple(vals)

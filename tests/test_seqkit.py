@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cyclodes import adsets, cyclotomy, dhm, seqkit
 from cyclodes.adsets import CharacteristicSet
+from oracles import autocorrelation_direct
 
 
 def _theorem_set_q13(include_zero=False):
@@ -40,10 +41,42 @@ def test_characteristic_sequence_examples():
 
 
 def test_autocorrelation_trivial_cases():
+    assert seqkit.autocorrelation(seqkit.BinarySequence(())).values == ()
+    for bits in ((0,), (1,)):
+        values = seqkit.autocorrelation(seqkit.BinarySequence(bits)).values
+        assert values == (1,) and type(values[0]) is int
     allz = seqkit.characteristic_sequence(set(), 8)
     assert seqkit.autocorrelation(allz).values == (8,) * 8
     alt = seqkit.characteristic_sequence({0, 2, 4}, 6)
     assert seqkit.autocorrelation(alt).values == (6, -6, 6, -6, 6, -6)
+
+
+# lengths drawn first: a plain st.lists rarely grows past a few dozen bits
+bit_tuples = st.integers(0, 300).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bit_tuples, st.integers(1, 2000))
+def test_autocorrelation_matches_the_direct_sum(bits, block):
+    # a small block splits the shifts mid-range and leaves a ragged last block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqkit, "AC_BLOCK", block)
+        values = seqkit.autocorrelation(seqkit.BinarySequence(bits)).values
+    assert values == autocorrelation_direct(bits)
+    assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("q", [13, 37, 229])
+def test_autocorrelation_matches_the_direct_sum_on_named_recipes(monkeypatch, q):
+    # 5 shifts a block: 2q = 26, 74 and 458 all leave a ragged last block
+    monkeypatch.setattr(seqkit, "AC_BLOCK", 10 * q + 1)
+    s = cyclotomy.build_classes(q, 12)
+    for I in dhm.NAMED_SETS.values():
+        for J in dhm.NAMED_SETS.values():
+            for include_zero in (False, True):
+                seq = seqkit.set_sequence(dhm.build(s, dhm.Recipe(12, I, J, include_zero)))
+                assert seqkit.autocorrelation(seq).values == autocorrelation_direct(seq.bits)
 
 
 def test_theorem_sequence_q13():
