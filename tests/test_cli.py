@@ -186,28 +186,26 @@ SEQUENCE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("q, order, recipe", sorted(SEQUENCE_DIGESTS))
-def test_sequence_output_matches_reference(capsys, q, order, recipe):
+def sequence_digest(capsys, q, order, recipe, formats=("json", "csv", "text")):
     import hashlib
     digest = hashlib.sha256()
     for zero in ((), ("--include-zero",)):
-        for fmt in ("json", "csv", "text"):
+        for fmt in formats:
             code, out, err = run(capsys, "sequence", "--q", str(q), "--order", str(order),
                                  "--recipe", recipe, "--format", fmt, *zero)
             digest.update(f"{code}\n{out}{err}".encode())
-    assert digest.hexdigest() == SEQUENCE_DIGESTS[(q, order, recipe)]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("q, order, recipe", sorted(SEQUENCE_DIGESTS))
+def test_sequence_output_matches_reference(capsys, q, order, recipe):
+    assert sequence_digest(capsys, q, order, recipe) == SEQUENCE_DIGESTS[(q, order, recipe)]
 
 
 def test_sequence_json_matches_reference_near_the_limit(capsys):
-    # the same digest form in json alone at the largest prime below 2**13 with
-    # q = 13 (mod 24), recorded from the pure-Python autocorrelation loop
-    import hashlib
-    digest = hashlib.sha256()
-    for zero in ((), ("--include-zero",)):
-        code, out, err = run(capsys, "sequence", "--q", "8101", "--order", "12",
-                             "--recipe", "A,E", "--format", "json", *zero)
-        digest.update(f"{code}\n{out}{err}".encode())
-    assert digest.hexdigest() == \
+    # json alone at the largest prime below 2**13 with q = 13 (mod 24),
+    # recorded from the pure-Python autocorrelation loop
+    assert sequence_digest(capsys, 8101, 12, "A,E", ("json",)) == \
         "afc7b142afe811b9d04a9f355249cdb0ac8e53cc6ae0e74bb6e758c4435b1375"
 
 
