@@ -46,6 +46,7 @@ predicted_classification reproduces the rule from the closed forms
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -175,6 +176,58 @@ def theorem_parameters(q: int, include_zero: bool) -> tuple[int, int, int, int]:
 # the (I, J) sweep
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _subset_members(d: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The d/2-subsets of range(d) in lexicographic order, and the read-only
+    0/1 matrix with one row per subset and one column per class."""
+    subsets = tuple(combinations(range(d), d // 2))
+    member = np.zeros((len(subsets), d), dtype=np.int64)
+    for i, s in enumerate(subsets):
+        member[i, list(s)] = 1
+    member.flags.writeable = False
+    return subsets, member
+
+
+def _near_lam(v: np.ndarray) -> np.ndarray:
+    """Elementwise v in {0, 1}: the stratum value v + lam is lam or lam + 1."""
+    return (v == 0) | (v == 1)
+
+
+def _column_groups(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of the int64 matrix v, grouped by equality: (distinct,
+    order, starts), where group g is the columns order[starts[g]:starts[g+1]],
+    all equal to distinct[:, g]."""
+    order = np.lexsort(v)
+    s = v[:, order]
+    new = (s[:, 1:] != s[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(np.concatenate(([True], new, [True])))
+    return s[:, starts[:-1]], order, starts
+
+
+def _near_pairs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (a, b) with u[h, a] + v[h, b] in {0, 1} for every row h, in
+    row-major order.
+
+    The test reads a only through the column u[:, a] and b only through
+    v[:, b], so it is decided on the grid of distinct columns: row 0 on the
+    whole grid, the other rows on the group pairs left.  Each surviving group
+    pair then expands to all its (a, b), and the few pairs are sorted."""
+    du, ou, su = _column_groups(u)
+    dv, ov, sv = _column_groups(v)
+    g, k = np.nonzero(_near_lam(du[0][:, None] + dv[0][None, :]))
+    for h in range(1, len(u)):
+        keep = _near_lam(du[h, g] + dv[h, k])
+        g, k = g[keep], k[keep]
+    # group pair i fills n[i] consecutive slots; rank is the slot within it
+    size_u, size_v = np.diff(su)[g], np.diff(sv)[k]
+    n = size_u * size_v
+    rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    width = np.repeat(size_v, n)
+    a = ou[np.repeat(su[g], n) + rank // width]
+    b = ov[np.repeat(sv[k], n) + rank % width]
+    return np.divmod(np.sort(a * v.shape[1] + b), v.shape[1])
+
+
 def hit_pairs(sys: CyclotomicSystem,
               include_zero: bool) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every ordered (I, J) of d/2-subsets whose construction reaches
@@ -184,42 +237,34 @@ def hit_pairs(sys: CyclotomicSystem,
     stratum.  With P_h[A] the row sum_{i in A} (i+h, . +h)_d, the class sum
     over i in I, j in J is P_h[I] . [J], so the same-slice stratum
     v0_h = P_h[I].[I] + P_h[J].[J] + delta_h(I) is an outer sum of per-subset
-    values.  Stratum h = 0 is decided on the full C(d, d/2)**2 grid; the pairs
-    left in {lam, lam+1} are narrowed on h = 1 .. d-1 in turn, and only the
-    few survivors get the cross-slice strata
-    v1_h = P_h[I].[J] + P_h[J].[I] + delta_h(J), the (1,0) shift 2f|I & J|
-    and the lambda count.  Row-major np.nonzero and order-preserving filters
-    keep the output lexicographic.  Every value is an exact integer at most
-    2q + 2 < 2**21.
+    values.  Many subsets share their d values (74 distinct first-slot and
+    second-slot vectors of the 924 at q = 13), so the same-slice strata are
+    decided on the grid of distinct vectors (_near_pairs), and only the
+    pairs left in {lam, lam+1} on every one, expanded back to subsets, get
+    the cross-slice strata v1_h = P_h[I].[J] + P_h[J].[I] + delta_h(J), the
+    (1,0) shift 2f|I & J| and the lambda count.  Order-preserving filters on
+    the sorted survivors keep the output lexicographic.  Every value is an
+    exact integer at most 2q + 2 < 2**21.
     """
     d, q, f = sys.d, sys.q, sys.f
-    subsets = list(combinations(range(d), d // 2))
-    member = np.zeros((len(subsets), d), dtype=np.int64)
-    for i, s in enumerate(subsets):
-        member[i, list(s)] = 1
+    subsets, member = _subset_members(d)
     _, _, lam, tcount = theorem_parameters(q, include_zero)
+    hs = np.arange(d)
+    shift = (hs[:, None] + hs) % d  # shift[h, i] = i + h
     # P[h, a, j] = sum_{i in A} (i+h, j+h)_d
-    P = np.stack([member @ np.roll(sys.table, (-h, -h), axis=(0, 1)) for h in range(d)])
+    P = member @ sys.table[shift[:, :, None], shift[:, None, :]]
     diag = np.einsum("haj,aj->ha", P, member)
     if include_zero:
-        hs = np.arange(d)
         delta = (member[:, -hs % d] + member[:, (sys.minus_one_class - hs) % d]).T
     else:
         delta = np.zeros_like(diag)
     u = diag + delta - lam          # v0_h(a, b) - lam = u[h, a] + diag[h, b]
-
-    def near_lam(v):                # v - lam in {0, 1}
-        return (v == 0) | (v == 1)
-
-    a, b = np.nonzero(near_lam(u[0][:, None] + diag[0][None, :]))
-    for h in range(1, d):
-        keep = near_lam(u[h, a] + diag[h, b])
-        a, b = a[keep], b[keep]
+    a, b = _near_pairs(u, diag)
     v0 = u[:, a] + diag[:, b]
     v1 = (np.einsum("hkj,kj->hk", P[:, a], member[b])
           + np.einsum("hkj,kj->hk", P[:, b], member[a]) + delta[:, b] - lam)
     z = 2 * f * (member[a] * member[b]).sum(axis=1) - lam
-    ok = near_lam(v1).all(axis=0) & near_lam(z)
+    ok = _near_lam(v1).all(axis=0) & _near_lam(z)
     lam_count = f * ((v0 == 0).sum(axis=0) + (v1 == 0).sum(axis=0)) + (z == 0)
     ok &= lam_count == tcount
     return [(subsets[i], subsets[j]) for i, j in zip(a[ok], b[ok])]

@@ -18,16 +18,18 @@ stratum value is an exact sum of cyclotomic numbers:
 
 because multiplying by w**-1 is a bijection sending D_i + w to D_{i+h} + 1.
 The whole C(d, d/2)**2 sweep therefore reduces to integer arithmetic on the
-exact cyclotomic-number table (dhm.hit_pairs), decided stratum by stratum:
-a same-slice stratum is an outer sum of one value per subset, so the first
-one is checked on the full grid, the pairs left are narrowed on the other
-same-slice strata, and only the few survivors get the cross-slice strata,
-the (1,0) shift and the lambda count.  At d = 12 that is 2,058 of 853,776
-pairs at q = 13, and at most 114 at every prime from 229 to 5000.  The slow
-route
-(adsets.distance_spectrum per pair) computes the same thing by direct pair
-enumeration; the two are cross-checked in the test suite and the theorem
-recipes are always re-verified through the slow route.
+exact cyclotomic-number table (dhm.hit_pairs), decided stratum by stratum.
+A same-slice stratum is an outer sum of one value per subset, so the d of
+them read I only through a vector of d integers and J only through another.
+Many subsets share their vector, so these strata are decided on the grid of
+distinct vectors (74 x 74 of the 924 x 924 subsets at d = 12, q = 13).  Only
+the subset pairs behind the vector pairs that pass all d are expanded, and
+they alone get the cross-slice strata, the (1,0) shift and the lambda count.
+At d = 12 that is 2,058 of 853,776 pairs at q = 13, and at most 114 at every
+prime from 229 to 5000.  The slow route (adsets.distance_spectrum per pair)
+computes the same thing by direct pair enumeration; the two are
+cross-checked in the test suite and the theorem recipes are always
+re-verified through the slow route.
 
 Jobs: each prime is one job on one class system, built once, swept, and
 read again for the prime's family gate (dhm.gates of dhm.calibrate_order12
@@ -69,9 +71,11 @@ class SearchHit:
 
 
 def search_primes(d: int, bound: int) -> list[int]:
-    """Primes q = d*f + 1 with f odd, q <= bound < 2**20."""
+    """Primes q = d*f + 1 with f odd, q <= bound, for d < bound < 2**20."""
     if bound >= Q_LIMIT:
         raise ValueError(f"bound={bound} must be below 2**20")
+    if bound <= d:
+        raise ValueError(f"bound={bound} must be at least d + 1 = {d + 1}")
     return [q for q in range(d + 1, bound + 1)
             if (q - 1) % d == 0 and ((q - 1) // d) % 2 == 1 and is_prime(q)]
 

@@ -11,7 +11,7 @@ import inspect
 from pathlib import Path
 
 import cyclodes
-from cyclodes import adsets, seqkit
+from cyclodes import adsets, dhm, seqkit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -49,6 +49,12 @@ def test_seqkit_keeps_the_pinned_binding_sites():
     # perfbench/test_perfbench.py checks that the tracer rebinds these
     assert seqkit.distance_at is adsets.distance_at
     assert seqkit.distance_spectrum is adsets.distance_spectrum
+
+
+def test_hit_pairs_keeps_the_parameters_a_sweep_tracer_reads():
+    # ROADMAP item 0 retargets the search counters from exhaustive_search to
+    # hit_pairs, reading the pairs off sys.d and the variant off include_zero
+    assert list(inspect.signature(dhm.hit_pairs).parameters) == ["sys", "include_zero"]
 
 
 def package_names_read(path: Path) -> set[tuple[str, str]]:

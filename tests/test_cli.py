@@ -384,6 +384,23 @@ def test_search_rejects_bound_at_q_limit(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "family_report_d4.csv").exists()
 
 
+def test_search_rejects_bound_below_d_plus_one(tmp_path, monkeypatch, capsys):
+    # a bound that admits no q = d*f + 1 is an input error, not an empty report
+    from cyclodes import search
+    counts = count_calls(monkeypatch, search, "search_each_prime")
+    hits = tmp_path / "hits.jsonl"
+    for d, bound in ((12, -5), (12, 12), (4, 0), (4, 4)):
+        code, out, err = run(capsys, "search", "--d", str(d), "--bound", str(bound),
+                             "--report-dir", str(tmp_path), "--output", str(hits))
+        assert code == 2 and out == ""
+        assert err == f"error: bound={bound} must be at least d + 1 = {d + 1}\n"
+    assert counts == {"search_each_prime": 0}
+    assert list(tmp_path.iterdir()) == []
+    code, _, _ = run(capsys, "search", "--d", "4", "--bound", "5",
+                     "--report-dir", str(tmp_path))
+    assert code == 0 and (tmp_path / "family_report_d4.csv").exists()
+
+
 def test_search_rejects_format(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--d", "4", "--bound", "30", "--format", "csv",

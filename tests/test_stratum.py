@@ -122,9 +122,10 @@ def full_grid_hit_pairs(sys, include_zero):
 def test_narrowed_sweep_equals_full_grid():
     """hit_pairs against the full-grid reference in both zero variants: at
     d in {4, 6, 8, 10} for every f-odd prime below 500, and at d = 12 for
-    q in SWEEP_PRIMES."""
+    q in SWEEP_PRIMES, the y1 primes 71293 and 199813 (8 hits in each
+    variant) and 1,046,557, near the top of the search range."""
     cases = [(q, d) for d in (4, 6, 8, 10) for q in search.search_primes(d, 499)]
-    cases += [(q, 12) for q in SWEEP_PRIMES]
+    cases += [(q, 12) for q in SWEEP_PRIMES + (71293, 199813, 1046557)]
     hits = 0
     for q, d in cases:
         sys = classes(q, d)
@@ -135,26 +136,73 @@ def test_narrowed_sweep_equals_full_grid():
     assert hits > 0
 
 
+@st.composite
+def stratum_vectors(draw):
+    """Two small int64 matrices with the same number of rows and few distinct
+    columns, so that their sums often sit in {0, 1}."""
+    rows = draw(st.integers(1, 4))
+
+    def matrix(low):
+        cols = draw(st.integers(1, 9))
+        cells = st.lists(st.integers(low, low + 3), min_size=cols, max_size=cols)
+        return np.array(draw(st.lists(cells, min_size=rows, max_size=rows)), dtype=np.int64)
+
+    return matrix(-1), matrix(-2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stratum_vectors())
+def test_grouped_pairs_equal_double_loop(case):
+    """dhm._near_pairs, which decides on the distinct columns and expands the
+    surviving groups, against the plain double loop over every (a, b), in
+    the same row-major order."""
+    u, v = case
+    expected = [(a, b) for a in range(u.shape[1]) for b in range(v.shape[1])
+                if all(u[h, a] + v[h, b] in (0, 1) for h in range(len(u)))]
+    a, b = dhm._near_pairs(u, v)
+    assert list(zip(a.tolist(), b.tolist())) == expected
+
+
+def synthetic_table(rng, d, period):
+    """A (d, d) table that is not cyclotomic: all ones with a few entries
+    moved by one, drawn per (i mod period, j mod period).  With period < d,
+    the subsets that meet each residue class mod period equally often share
+    every stratum value, so the sweep's groups of equal vectors are large and
+    uneven."""
+    down, up = rng.random() / 2, rng.random() / 5
+    block = [[1 - (rng.random() < down) + (rng.random() < up) for _ in range(period)]
+             for _ in range(period)]
+    return np.array([[block[i % period][j % period] for j in range(d)] for i in range(d)],
+                    dtype=np.int64)
+
+
 def test_narrowed_sweep_equals_full_grid_on_synthetic_tables():
-    """The same equality on tables that are not cyclotomic: all ones with a
-    few entries moved by one, so that most strata sit at lam or lam + 1.
-    Real tables tie the checks together: d_I(w) = d_I(-w) makes the strata h
-    and h + d/2 equal, and the differences sum to k(k-1), which fixes the lam
-    count once every stratum is in {lam, lam+1}.  These tables do not, so a
-    check that real tables make redundant, such as the lam count, can change
-    the result here."""
+    """The same equality on tables that are not cyclotomic, so that most
+    strata sit at lam or lam + 1.  Real tables tie the checks together:
+    d_I(w) = d_I(-w) makes the strata h and h + d/2 equal, and the
+    differences sum to k(k-1), which fixes the lam count once every stratum
+    is in {lam, lam+1}.  These tables do not, so a check that real tables
+    make redundant, such as the lam count, can change the result here.  At
+    d in {8, 10, 12} the tables repeat with a period dividing d, and f is
+    drawn near d times the mean entry, where lam = (d*f - 2)/2 meets the
+    typical same-slice stratum, so that whole groups of equal vectors reach
+    the cross-slice checks together."""
+    cases = [(seed, None) for seed in range(200)]
+    cases += [(seed, d) for d in (8, 10) for seed in range(16)]
+    cases += [(seed, 12) for seed in (4, 7, 12)]   # 46,656, 648 and 2 plain pairs reach v1
     hits = 0
-    for seed in range(200):
+    for seed, d in cases:
         rng = random.Random(seed)
-        d, q = rng.choice([(4, 13), (4, 17), (6, 31), (6, 37)])
-        down, up = rng.random() / 2, rng.random() / 5
-        counts = [[1 - (rng.random() < down) + (rng.random() < up) for _ in range(d)]
-                  for _ in range(d)]
-        sys = SimpleNamespace(d=d, q=q, f=(q - 1) // d, minus_one_class=d // 2,
-                              table=np.array(counts, dtype=np.int64))
+        if d is None:               # no period at d in {4, 6}
+            d, q = rng.choice([(4, 13), (4, 17), (6, 31), (6, 37)])
+            table = synthetic_table(rng, d, d)
+        else:
+            table = synthetic_table(rng, d, rng.choice([p for p in range(2, d) if d % p == 0]))
+            q = d * (round(d * table.mean()) + rng.randrange(-1, 2)) + 1
+        sys = SimpleNamespace(d=d, q=q, f=(q - 1) // d, minus_one_class=d // 2, table=table)
         for include_zero in (False, True):
             got = dhm.hit_pairs(sys, include_zero)
-            assert got == full_grid_hit_pairs(sys, include_zero), (seed, include_zero)
+            assert got == full_grid_hit_pairs(sys, include_zero), (seed, d, include_zero)
             hits += len(got)
     assert hits > 0
 
