@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     def output(sp):
         sp.add_argument("--output", help="write data to this file instead of stdout")
 
-    def common(sp):
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    def common(sp, formats=("json", "csv", "text")):
+        sp.add_argument("--format", choices=formats, default="json")
         output(sp)
 
     sp = sub.add_parser("classes", help="cyclotomic classes of order d")
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--check-m1", action="store_true", dest="check_m1")
-    common(sp)
+    common(sp, ("json", "csv"))
     sp.set_defaults(func=cmd_cycnums)
 
     sp = sub.add_parser("verify", help="verify a construction condition")
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="only the with-(0,0) variant")
     zero.add_argument("--no-zero", action="store_true",
                       help="only the plain variant")
-    common(sp)
+    common(sp, ("json", "text"))
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("search", help="exhaustive pair search over primes")

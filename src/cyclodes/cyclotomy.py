@@ -10,6 +10,9 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
     single bincount of the class pairs kept as a read-only (d, d) int64 array,
     table[m, n] = (m,n)_d; the closed-form coefficient matrix below is a
     cross-check, never the source of truth.
+  * assemble_strata is the one layout of a product set's 2d + 1 difference
+    strata: stratum_spectrum fills it from the table's class sums,
+    dhm.predicted_spectrum from the paper's closed forms.
   * Jacobi sums live in the ring Z[beta], beta = exp(2*pi*1j/12), represented
     exactly on the integral basis {1, beta, beta**2, beta**3} with
     beta**4 = beta**2 - 1.  No floating point anywhere.  Each J(m, n) is a
@@ -131,7 +134,7 @@ def table_to_csv(table: np.ndarray) -> str:
 
 
 # ---------------------------------------------------------------------------
-# stratum spectrum: difference histograms from the table
+# stratum spectrum: difference histograms, stratum by stratum
 # ---------------------------------------------------------------------------
 
 def stratum_distance(rows: list[list[int]], I, J, h: int) -> int:
@@ -155,33 +158,42 @@ def zero_term(I, h: int, d: int, minus_one_class: int) -> int:
     return ((-h) % d in idx) + ((minus_one_class - h) % d in idx)
 
 
-def stratum_spectrum(sys: CyclotomicSystem, I, J,
-                     include_zero: bool) -> dict[int, int]:
-    """Exact difference histogram of {0} x D_I u {1} x D_J in Z2 x Zq, with
-    (0,0) adjoined when include_zero is set, from the (m,n)_d table alone.
+def assemble_strata(distance, data, d: int, f: int, minus_one_class: int, I, J,
+                    include_zero: bool) -> dict[int, int]:
+    """Difference histogram of {0} x D_I u {1} x D_J in Z2 x Zq, (0,0)
+    adjoined when include_zero is set, from distance(data, A, B, h) =
+    d_{A,B}(w) for w**-1 in D_h (A, B frozensets of residues mod d).
 
-    The difference function is constant on 2d + 1 strata: for each h in
-    [0, d) the f shifts (0, w) and the f shifts (1, w) with w**-1 in D_h,
-    plus the single shift (1, 0).  Works for any d | q-1 and any I, J: the
-    scalar reference for dhm.hit_pairs and the closed forms.  Equals
-    adsets.distance_spectrum(...).histogram, the direct-count oracle.
+    The difference function is constant on 2d + 1 strata: for each h the f
+    shifts (0, w), worth d_{I,I} + d_{J,J}, and the f shifts (1, w), worth
+    d_{I,J} + d_{J,I}, each plus its zero term; and the shift (1, 0), worth
+    2f|I & J|.
     """
-    d, f, minus_one = sys.d, sys.f, sys.minus_one_class
-    rows = sys.table.tolist()
-    I = {i % d for i in I}
-    J = {j % d for j in J}
+    I = frozenset({i % d for i in I})
+    J = frozenset({j % d for j in J})
     hist: dict[int, int] = {}
     for h in range(d):
-        v0 = stratum_distance(rows, I, I, h) + stratum_distance(rows, J, J, h)
-        v1 = stratum_distance(rows, I, J, h) + stratum_distance(rows, J, I, h)
+        v0 = distance(data, I, I, h) + distance(data, J, J, h)
+        v1 = distance(data, I, J, h) + distance(data, J, I, h)
         if include_zero:
-            v0 += zero_term(I, h, d, minus_one)
-            v1 += zero_term(J, h, d, minus_one)
+            v0 += zero_term(I, h, d, minus_one_class)
+            v1 += zero_term(J, h, d, minus_one_class)
         hist[v0] = hist.get(v0, 0) + f
         hist[v1] = hist.get(v1, 0) + f
     v = 2 * f * len(I & J)
     hist[v] = hist.get(v, 0) + 1
     return hist
+
+
+def stratum_spectrum(sys: CyclotomicSystem, I, J,
+                     include_zero: bool) -> dict[int, int]:
+    """assemble_strata from the (m,n)_d table's class sums (stratum_distance),
+    for any d | q-1 and any I, J: the scalar reference for dhm.hit_pairs and
+    the closed forms.  Equals adsets.distance_spectrum(...).histogram, the
+    direct-count oracle.
+    """
+    return assemble_strata(stratum_distance, sys.table.tolist(), sys.d, sys.f,
+                           sys.minus_one_class, I, J, include_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +561,10 @@ def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition):
     Applies when 2 is a cubic residue, 3 is a biquadratic residue, and f is
     odd; B's sign is not pinned by the identity, so both are tried.  Returns
     None when the side conditions fail, else the set of B signs (+1/-1/0)
-    satisfying the identity exactly.
+    satisfying the identity exactly.  Refuses a system of order other than 12.
     """
+    if sys.d != 12:
+        raise ValueError("the (0,2)_12 identity requires order 12")
     if sys.f % 2 == 0:
         return None
     if sys.index(2) % 3 != 0 or sys.index(3) % 4 != 0:

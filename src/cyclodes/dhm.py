@@ -26,12 +26,15 @@ calibration.  One gate table (gates) then says which conditions hold at q,
 for verify and search alike, and verify_family classifies every recipe by
 direct pair counting (adsets.distance_spectrum), the independent oracle.
 
-Closed-form branch convention: the restricted distances d_I(w), d_{I,J}(w)
-are piecewise constant on cyclotomic classes, with branches indexed by the
-class of w**-1 (equivalently, the negated class of w).  Indexing by w's own
-class would transpose the odd-class branches {1,5,9} <-> {3,7,11}; the
-w**-1 convention is the one that matches exact counts, verified at every
-validation prime.
+Closed forms: the restricted distances d_I(w), d_{I,J}(w) are piecewise
+constant on cyclotomic classes, with branches indexed by the class h of
+w**-1 (equivalently, the negated class of w).  Indexing by w's own class
+would transpose the odd-class branches {1,5,9} <-> {3,7,11}; the w**-1
+convention is the one that matches exact counts, verified at every
+validation prime.  predicted_distance is the one closed-form distance per
+stratum h: predicted_dI and predicted_dIJ read it at the h of their w, and
+predicted_spectrum hands it to cyclotomy.assemble_strata, the same strata
+layout stratum_spectrum fills from the table.
 
 With (0,0) adjoined, the slot order of (I, J) matters whenever one of the
 index sets is a parity pattern ({0,2,...,10} or {1,3,...,11}): exactly one
@@ -40,7 +43,7 @@ calibrated y family passes with the parity pattern second, so that is the
 one order verify_family lists for a y family with (0,0), as the Corollary 2
 lists do at order 4.  The x = 1 family passes in both orders.
 predicted_classification reproduces the rule from the closed forms
-(zero_slot_pairs).
+(zero_slot_pairs), deciding through adsets.classify as verify_family does.
 """
 
 from __future__ import annotations
@@ -280,25 +283,12 @@ _EVEN1 = frozenset({0, 4, 8})
 _EVEN2 = frozenset({2, 6, 10})
 
 
-def _dI_table(I: frozenset[int], q: int, y: int) -> tuple[int, int]:
-    """(value on even branch, value on odd branch), branch = parity of w's class."""
-    if I in (SET_A, SET_B):
-        return (q - 2 * y - 3) // 4, (q + 2 * y - 3) // 4
-    if I in (SET_C, SET_D):
-        return (q + 2 * y - 3) // 4, (q - 2 * y - 3) // 4
-    if I == SET_E:
-        return (q - 5) // 4, (q - 1) // 4
-    if I == SET_F:
-        return (q - 1) // 4, (q - 5) // 4
-    raise ValueError("index set outside the closed-form families")
+def _dA(q, x, y, e):
+    return (q - 2 * y - 3) // 4 if e % 2 == 0 else (q + 2 * y - 3) // 4
 
 
-def predicted_dI(sys: CyclotomicSystem, I: frozenset[int], w: int,
-                 part: QuadraticPartition) -> int:
-    """Closed-form d_I(w) for the six named patterns; needs y_signed."""
-    if part.y_signed is None:
-        raise ValueError("predicted_dI needs a calibrated y sign")
-    return _dI_table(I, sys.q, part.y_signed)[sys.klass(w) % 2]
+def _dE(q, x, y, e):
+    return (q - 5) // 4 if e % 2 == 0 else (q - 1) // 4
 
 
 def _l4(q, x, y, e):
@@ -323,7 +313,11 @@ def _l6(q, x, y, e):
     return (q + x + 2 * y) // 4 if e in _ODD2 else (q - x - 2 * y - 2) // 4
 
 
-_CROSS_REPS = (
+# Representative pairs: every named (A, B) with A == B or |A & B| = 3 is a
+# rotation of one of them, or of one swapped.
+_FORMULAS = (
+    ((SET_A, SET_A), _dA),
+    ((SET_E, SET_E), _dE),
     ((SET_A, SET_C), _l4),
     ((SET_C, SET_E), _l5),
     ((SET_A, SET_E), _l6),
@@ -334,13 +328,15 @@ def _shift(S: frozenset[int], t: int) -> frozenset[int]:
     return frozenset((i + t) % 12 for i in S)
 
 
-def _cross_formula(I: frozenset[int], J: frozenset[int]):
-    """Resolve (I, J) to (branch function, rotation t) via the representatives.
+@lru_cache(maxsize=None)
+def _formula(I: frozenset[int], J: frozenset[int]):
+    """Resolve (I, J) to (branch function, rotation t) via the representatives,
+    once per pair.
 
     A swapped pair reuses its representative's function six classes on:
     d_{J,I}(w) = d_{I,J}(-w), and -w lies in the class six past w's (f odd).
     """
-    for (rI, rJ), func in _CROSS_REPS:
+    for (rI, rJ), func in _FORMULAS:
         for t in range(12):
             if I == _shift(rI, t) and J == _shift(rJ, t):
                 return func, t
@@ -349,57 +345,48 @@ def _cross_formula(I: frozenset[int], J: frozenset[int]):
     raise ValueError("pair outside the closed-form families")
 
 
-def predicted_dIJ(sys: CyclotomicSystem, I: frozenset[int], J: frozenset[int],
-                  w: int, part: QuadraticPartition) -> int:
-    """Closed-form d_{I,J}(w) for pairs of named patterns with |I & J| = 3.
-
-    The branch is selected by h + t where h is the class of w**-1 and t the
-    rotation aligning (I, J) with its representative pair.
+def predicted_distance(part: QuadraticPartition, A: frozenset[int],
+                       B: frozenset[int], h: int) -> int:
+    """Closed-form d_{A,B}(w) = |(D_A + w) & D_B| on stratum h, every w with
+    w**-1 in D_h (order 12, f odd), for named patterns with A == B or
+    |A & B| = 3: the branch h + t of the representative pair's formula, t
+    the rotation aligning (A, B) with it.  Needs x and a calibrated y sign.
     """
     if part.y_signed is None or part.x is None:
-        raise ValueError("predicted_dIJ needs x and a calibrated y sign")
-    func, t = _cross_formula(I, J)
-    h = (-sys.klass(w)) % 12
-    return func(sys.q, part.x, part.y_signed, (h + t) % 12)
+        raise ValueError("the closed forms need x and a calibrated y sign")
+    func, t = _formula(A, B)
+    return func(part.q, part.x, part.y_signed, (h + t) % 12)
+
+
+def predicted_dIJ(sys: CyclotomicSystem, I: frozenset[int], J: frozenset[int],
+                  w: int, part: QuadraticPartition) -> int:
+    """Closed-form d_{I,J}(w): predicted_distance on the stratum of w, the
+    class h of w**-1."""
+    return predicted_distance(part, I, J, (-sys.klass(w)) % 12)
+
+
+def predicted_dI(sys: CyclotomicSystem, I: frozenset[int], w: int,
+                 part: QuadraticPartition) -> int:
+    """Closed-form d_I(w) = d_{I,I}(w) for the six named patterns."""
+    return predicted_dIJ(sys, I, I, w, part)
 
 
 def predicted_spectrum(q: int, part: QuadraticPartition, I: frozenset[int],
                        J: frozenset[int], include_zero: bool) -> dict[int, int]:
-    """Predicted difference histogram of the (I, J) construction, stratum by
-    stratum, from the closed forms alone (no counting).
-
-    Strata: for each h in [0,12) the f shifts (0, w2) with w2**-1 in D_h take
-    one value, the f shifts (1, w2) another; (1, 0) contributes once.  w2's
-    own class -h has the parity of h, which picks the d_I branch.
-    """
-    if part.y_signed is None or part.x is None:
-        raise ValueError("predicted_spectrum needs x and a calibrated y sign")
-    f = (q - 1) // 12
-    dI = _dI_table(I, q, part.y_signed)
-    dJ = _dI_table(J, q, part.y_signed)
-    func_ij, t_ij = _cross_formula(I, J)
-    func_ji, t_ji = _cross_formula(J, I)
-    hist: dict[int, int] = {}
-    for h in range(12):
-        v0 = dI[h % 2] + dJ[h % 2]
-        v1 = func_ij(q, part.x, part.y_signed, (h + t_ij) % 12) + \
-            func_ji(q, part.x, part.y_signed, (h + t_ji) % 12)
-        if include_zero:  # f odd, so -1 lies in class 6
-            v0 += cyclotomy.zero_term(I, h, 12, 6)
-            v1 += cyclotomy.zero_term(J, h, 12, 6)
-        hist[v0] = hist.get(v0, 0) + f
-        hist[v1] = hist.get(v1, 0) + f
-    v = 2 * f * len(I & J)
-    hist[v] = hist.get(v, 0) + 1
-    return hist
+    """Predicted difference histogram of the (I, J) construction from the
+    closed forms alone (no counting): cyclotomy.assemble_strata of
+    predicted_distance.  f is odd, so -1 lies in class 6."""
+    return cyclotomy.assemble_strata(predicted_distance, part, 12, (q - 1) // 12, 6,
+                                     I, J, include_zero)
 
 
 def predicted_classification(q: int, part: QuadraticPartition, I: frozenset[int],
                              J: frozenset[int], include_zero: bool) -> bool:
-    """Whether the closed forms predict the target ADS parameters for (I, J)."""
-    n, k, lam, t = theorem_parameters(q, include_zero)
-    hist = predicted_spectrum(q, part, I, J, include_zero)
-    return sorted(hist) == [lam, lam + 1] and hist[lam] == t
+    """Whether the closed forms predict the target ADS parameters for (I, J):
+    adsets.classify of the predicted spectrum."""
+    spec = DifferenceSpectrum(n=2 * q, k=(q - 1) // 12 * (len(I) + len(J)) + include_zero,
+                              histogram=predicted_spectrum(q, part, I, J, include_zero))
+    return classify(spec).parameters == theorem_parameters(q, include_zero)
 
 
 def zero_slot_pairs(q: int, part: QuadraticPartition):

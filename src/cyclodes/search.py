@@ -71,13 +71,17 @@ class SearchHit:
 
 
 def search_primes(d: int, bound: int) -> list[int]:
-    """Primes q = d*f + 1 with f odd, q <= bound, for d < bound < 2**20."""
+    """Primes q = d*f + 1 with f odd, q <= bound, for d < bound < 2**20;
+    raises when there is none."""
     if bound >= Q_LIMIT:
         raise ValueError(f"bound={bound} must be below 2**20")
     if bound <= d:
         raise ValueError(f"bound={bound} must be at least d + 1 = {d + 1}")
-    return [q for q in range(d + 1, bound + 1)
-            if (q - 1) % d == 0 and ((q - 1) // d) % 2 == 1 and is_prime(q)]
+    primes = [q for q in range(d + 1, bound + 1)
+              if (q - 1) % d == 0 and ((q - 1) // d) % 2 == 1 and is_prime(q)]
+    if not primes:
+        raise ValueError(f"no prime q = {d}*f + 1 with f odd lies at or below bound={bound}")
+    return primes
 
 
 def _search_system(q: int, d: int) -> cyclotomy.CyclotomicSystem:

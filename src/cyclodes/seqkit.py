@@ -144,9 +144,8 @@ def verify_ac_identity(cset: CharacteristicSet,
     independent computations.  At tau = 0 the right side is n, since
     d_D(0) = k, so equal profiles also have AC(0) == n and the same levels.
     """
-    seq = set_sequence(cset)
     if profile is None:
-        profile = autocorrelation(seq)
+        profile = autocorrelation(set_sequence(cset))
     q, n, k = cset.q, cset.n, cset.k
     same, cross = difference_function(cset)
     tau = np.arange(n)

@@ -401,6 +401,34 @@ def test_search_rejects_bound_below_d_plus_one(tmp_path, monkeypatch, capsys):
     assert code == 0 and (tmp_path / "family_report_d4.csv").exists()
 
 
+def test_search_rejects_bound_below_first_prime(tmp_path, monkeypatch, capsys):
+    # the first f-odd d=8 prime is 41 (9 and 25 are not prime): nothing to sweep
+    from cyclodes import search
+    counts = count_calls(monkeypatch, search, "search_each_prime")
+    hits = tmp_path / "hits.jsonl"
+    for d, bound in ((8, 9), (8, 40)):
+        code, out, err = run(capsys, "search", "--d", str(d), "--bound", str(bound),
+                             "--report-dir", str(tmp_path), "--output", str(hits))
+        assert code == 2 and out == ""
+        assert err == (f"error: no prime q = {d}*f + 1 with f odd lies at or below "
+                       f"bound={bound}\n")
+    assert counts == {"search_each_prime": 0}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--q", "13", "--order", "12", "--format", "csv"),
+    ("cycnums", "--q", "13", "--d", "12", "--format", "text"),
+])
+def test_format_without_its_own_output_is_refused(capsys, argv):
+    # verify has no CSV and cycnums no text form of its own
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--format" in captured.err
+
+
 def test_search_rejects_format(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--d", "4", "--bound", "30", "--format", "csv",

@@ -379,3 +379,12 @@ def test_cubic_residue_02_predicate():
     # q=13: 2 is not a cubic residue (Ind(2) = 1), so the predicate is off
     s13 = cy.build_classes(13, 12, 2)
     assert cy.cubic_residue_02_check(s13, cy.quadratic_partitions(13)) is None
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_cubic_residue_02_check_refuses_other_orders(d):
+    # (0,2)_d at order 4 or 6 is no order-12 number: at q=229 the identity
+    # would read set() at d=4 and None at d=6
+    s = cy.build_classes(229, d)
+    with pytest.raises(ValueError, match="order 12"):
+        cy.cubic_residue_02_check(s, cy.quadratic_partitions(229))

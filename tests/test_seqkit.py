@@ -112,18 +112,27 @@ def test_ac_identity_rejects_a_wrong_profile():
 
 
 def test_ac_identity_counts_differences_once(monkeypatch):
-    counts = {"difference_function": 0, "distance_at": 0, "distance_spectrum": 0}
+    cset = _theorem_set_q13()
+    profile = seqkit.autocorrelation(seqkit.set_sequence(cset))
+    counts = {"difference_function": 0, "distance_at": 0, "distance_spectrum": 0,
+              "set_sequence": 0}
     for name in counts:
-        original = getattr(adsets, name)
+        modules = [m for m in (adsets, seqkit) if hasattr(m, name)]
+        original = getattr(modules[0], name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (adsets, seqkit):
+        for module in modules:
             monkeypatch.setattr(module, name, counting)
-    assert seqkit.verify_ac_identity(_theorem_set_q13())
-    assert counts == {"difference_function": 1, "distance_at": 0, "distance_spectrum": 0}
+    assert seqkit.verify_ac_identity(cset)
+    assert counts == {"difference_function": 1, "distance_at": 0, "distance_spectrum": 0,
+                      "set_sequence": 1}
+    # a profile passed in needs no sequence
+    assert seqkit.verify_ac_identity(cset, profile)
+    assert counts == {"difference_function": 2, "distance_at": 0, "distance_spectrum": 0,
+                      "set_sequence": 1}
 
 
 @st.composite

@@ -208,13 +208,23 @@ def test_narrowed_sweep_equals_full_grid_on_synthetic_tables():
 
 
 def test_predicted_spectrum_equals_stratum_spectrum():
-    """The closed forms against the table at every theorem pair, both zero
-    variants and every order-12 f-odd prime below 1000."""
+    """The closed forms against the table at every order-12 f-odd prime below
+    1000: stratum by stratum, d_{A,B} on every h for every named (A, B) with
+    A == B or |A & B| = 3, since equal histograms can hide two swapped
+    strata; and the histograms at every theorem pair, both zero variants."""
     primes = [q for q in range(13, 1000) if q % 24 == 13 and ff.is_prime(q)]
     pairs = {p for cond in dhm.ORDER12_CONDITIONS for p in dhm.theorem12_pairs(cond)}
+    named = [(A, B) for A in dhm.NAMED_SETS.values() for B in dhm.NAMED_SETS.values()
+             if A == B or len(A & B) == 3]
+    assert len(named) == 30
     cases = 0
     for q in primes:
         part = dhm.calibrate_order12(classes(q, 12))
+        rows = classes(q, 12).table.tolist()
+        for A, B in named:
+            for h in range(12):
+                assert dhm.predicted_distance(part, A, B, h) == \
+                    cyclotomy.stratum_distance(rows, A, B, h), (q, sorted(A), sorted(B), h)
         for I, J in pairs:
             for include_zero in (False, True):
                 assert dhm.predicted_spectrum(q, part, I, J, include_zero) == \
