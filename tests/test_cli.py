@@ -140,7 +140,9 @@ def test_verify_order4_output_matches_reference(capsys, q, fmt):
 
 # sha256 of "exit code\nstdout stderr" of verify --order 12 at conditions auto,
 # x1, y1a, y1b, ym1a and ym1b in turn, per (q, format); recorded before the
-# order-4 and order-12 recipe types and builders became one
+# order-4 and order-12 recipe types and builders became one.  The q = 733 and
+# 1093 pins, where the difference count spans several blocks of shifts, were
+# recorded from the int64 bincount of every member difference.
 VERIFY_ORDER12_DIGESTS = {
     (13, "json"): "68db88c40d7a83d05e4441c6139877d3d8995a2395b8705721cd6e4f16a56999",
     (13, "text"): "52ac3ef047386ac74765da3c3e2fd33bb98d610deb54d971fe4c85483a0c89ec",
@@ -148,6 +150,10 @@ VERIFY_ORDER12_DIGESTS = {
     (37, "text"): "a9fd3eeab328c19d6d17e2831cdc92db405433d4e423a3fd500e2abd6b7ce0fe",
     (229, "json"): "f84f86c08614fe3af684b9a7e1c233f6746aa22683001a03d34b9b2349d154a6",
     (229, "text"): "579378c5bfb074005a8e2742cbbc16527354d2a8c972c15eb4ccc489fc8073d5",
+    (733, "json"): "1e1b7be5cfef6fe41955183719c43da6d4acf5b214cb5a3b23db53c4bbe46e99",
+    (733, "text"): "e0284d23ff06c0a3904eebe186d815c4f42ebf46aaa2b67c8bd096fab301501b",
+    (1093, "json"): "03436c1309eb0230a3aa9734d811a15a707ae477eb9f80805ac9c15c8816ef69",
+    (1093, "text"): "48ce5286203de2f11522c45c78605853e9ec2759e6ec0bbaba2a26b7e0816838",
 }
 
 
@@ -160,6 +166,16 @@ def test_verify_order12_output_matches_reference(capsys, q, fmt):
                              "--condition", cond, "--format", fmt)
         digest.update(f"{code}\n{out}{err}".encode())
     assert digest.hexdigest() == VERIFY_ORDER12_DIGESTS[(q, fmt)]
+
+
+def test_verify_order12_auto_below_oracle_limit_matches_reference(capsys):
+    """verify --condition auto in json at q = 8101, just below ORACLE_Q_LIMIT:
+    many blocks of shifts and a ragged last one; recorded with the q = 1093 pins."""
+    import hashlib
+    code, out, err = run(capsys, "verify", "--q", "8101", "--order", "12",
+                         "--condition", "auto", "--format", "json")
+    digest = hashlib.sha256(f"{code}\n{out}{err}".encode()).hexdigest()
+    assert digest == "96cc9d146356348a2a18a530b5e420273787924f01d5685f12b349e9bfc5fb1f"
 
 
 # sha256 of "exit code\nstdout stderr" of sequence plain then --include-zero,
