@@ -11,11 +11,12 @@ lambda + 1 (n - 1 - t times).
 Sets are stored as one frozenset of residues per GF(2)-slice; the extra
 element (0,0), when present, is simply residue 0 inside the 0-slice.
 
-difference_function is the one direct count: it tallies every member
-difference b - a exactly, in int64, and never reads a cyclotomic-number
-table, so it is the independent oracle that the table routes are checked
-against.  distance_spectrum is its histogram; distance_at counts one shift in
-O(k) for callers that need only a few.
+difference_function is the one direct count: it writes each slice as a bool
+indicator of length q and counts, shift by shift, the x with a[x] and
+b[x + w], exactly, and never reads a cyclotomic-number table, so it is the
+independent oracle that the table routes are checked against.
+distance_spectrum is its histogram; distance_at counts one shift in O(k) for
+callers that need only a few.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEGENERATE_NOTE = "degenerate: empty or full set"
 
-# Entries per block of member differences: bounds difference_function's int64
-# temporary to 256 KB whatever q is.  Larger blocks run no faster at q = 8101.
-DIFFERENCE_BLOCK = 1 << 15
+# Indicator cells compared per block of shifts: bounds difference_function's
+# bool temporary to 256 KB for every q up to 2**18.
+DIFFERENCE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -100,25 +102,32 @@ def difference_function(cset: CharacteristicSet) -> tuple[np.ndarray, np.ndarray
     cross[w] = d_C(1, w), int64 arrays indexed by w in Z_q.
 
     d_C(w1, w2) counts the member pairs (a, b) with b - a = (w1, w2), so
-    same tallies the differences within each slice and cross those from
-    part0 to part1 and back; same[0] = k.
+    same counts the pairs within each slice and cross those from part0 to
+    part1 and back; same[0] = k.
     """
     q = cset.q
-    p0 = np.fromiter(cset.part0, dtype=np.int64)
-    p1 = np.fromiter(cset.part1, dtype=np.int64)
-    same = _differences(p0, p0, q) + _differences(p1, p1, q)
-    forward = _differences(p0, p1, q)            # part1 - part0; part0 - part1 is its negation
+    p0, p1 = _indicator(cset.part0, q), _indicator(cset.part1, q)
+    same = _shift_counts(p0, p0) + _shift_counts(p1, p1)
+    forward = _shift_counts(p0, p1)              # part1 - part0; part0 - part1 is its negation
     return same, forward + forward[-np.arange(q) % q]
 
 
-def _differences(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """counts[w] = #{(x, y) in a x b : y - x = w (mod q)}, in row blocks."""
-    counts = np.zeros(q, dtype=np.int64)
-    rows = max(1, DIFFERENCE_BLOCK // max(1, len(b)))
-    for i in range(0, len(a), rows):
-        block = b - a[i:i + rows, None]
-        block %= q                               # in place: one temporary, half the time
-        counts += np.bincount(block.ravel(), minlength=q)
+def _indicator(part: frozenset[int], q: int) -> np.ndarray:
+    bits = np.zeros(q, dtype=bool)
+    bits[np.fromiter(part, dtype=np.int64, count=len(part))] = True
+    return bits
+
+
+def _shift_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """counts[w] = #{x : a[x] and b[x + w mod q]}, a block of shifts at a
+    time: row w of the q length-q windows over b + b[:-1] is b shifted by w,
+    and the windows are a view."""
+    q = len(a)
+    windows = sliding_window_view(np.concatenate((b, b[:-1])), q)
+    rows = max(1, DIFFERENCE_BLOCK // q)
+    counts = np.empty(q, dtype=np.int64)
+    for i in range(0, q, rows):
+        counts[i:i + rows] = np.count_nonzero(windows[i:i + rows] & a, axis=1)
     return counts
 
 

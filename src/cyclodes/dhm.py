@@ -375,7 +375,9 @@ def predicted_spectrum(q: int, part: QuadraticPartition, I: frozenset[int],
                        J: frozenset[int], include_zero: bool) -> dict[int, int]:
     """Predicted difference histogram of the (I, J) construction from the
     closed forms alone (no counting): cyclotomy.assemble_strata of
-    predicted_distance.  f is odd, so -1 lies in class 6."""
+    predicted_distance.  f is odd, so -1 lies in class 6.  q must be part.q."""
+    if q != part.q:
+        raise ValueError(f"q = {q} does not match the partition of q = {part.q}")
     return cyclotomy.assemble_strata(predicted_distance, part, 12, (q - 1) // 12, 6,
                                      I, J, include_zero)
 

@@ -4,9 +4,14 @@ restricted_distance counts d_{A,B}(w) pair by pair; delta_term is the
 class-shift rule for |D_I & {w2, -w2}|, checked against the direct count in
 test_adsets.py.  The closed forms and the difference-function identities
 are held to both.  autocorrelation_direct is the shift-by-shift sum that
-seqkit.autocorrelation computes in numpy blocks.
+seqkit.autocorrelation computes in numpy blocks.  difference_function_bincount
+tallies every member difference b - a, the count that
+adsets.difference_function makes shift by shift over bool windows.
 """
 
+import numpy as np
+
+from cyclodes.adsets import CharacteristicSet
 from cyclodes.cyclotomy import CyclotomicSystem, zero_term
 
 
@@ -39,3 +44,19 @@ def autocorrelation_direct(bits: tuple[int, ...]) -> tuple[int, ...]:
         agree = sum(1 for t in range(n) if bits[t] == bits[(t + tau) % n])
         vals.append(2 * agree - n)
     return tuple(vals)
+
+
+def difference_function_bincount(cset: CharacteristicSet) -> tuple[np.ndarray, np.ndarray]:
+    """(same, cross) as adsets.difference_function, by one int64 bincount of
+    the member differences per pair of slices."""
+    q = cset.q
+    p0 = np.fromiter(cset.part0, dtype=np.int64)
+    p1 = np.fromiter(cset.part1, dtype=np.int64)
+    same = _differences(p0, p0, q) + _differences(p1, p1, q)
+    forward = _differences(p0, p1, q)
+    return same, forward + forward[-np.arange(q) % q]
+
+
+def _differences(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """counts[w] = #{(x, y) in a x b : y - x = w (mod q)}."""
+    return np.bincount(((b - a[:, None]) % q).ravel(), minlength=q)

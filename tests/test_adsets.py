@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from unittest import mock
 
@@ -6,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclodes import adsets, cyclotomy, dhm
+from cyclodes import adsets, cyclotomy, dhm, seqkit
 from cyclodes.adsets import CharacteristicSet
-from oracles import delta_term, restricted_distance
+from oracles import delta_term, difference_function_bincount, restricted_distance
 
 
 def _theorem_set_q13():
@@ -69,18 +71,21 @@ def test_spectrum_double_count_random_sets():
 
 
 @st.composite
-def slice_sets(draw):
-    """Sets on Z2 x Zq, q odd in [3, 61]: random, empty or full slices, with
-    or without (0,0), and a difference block size that forces row chunking."""
-    q = draw(st.integers(1, 30)) * 2 + 1
-    residues = {"random": st.frozensets(st.integers(1, q - 1)),
-                "empty": st.just(frozenset()), "full": st.just(frozenset(range(1, q)))}
+def slice_sets(draw, qs=st.integers(1, 30).map(lambda m: 2 * m + 1)):
+    """Sets on Z2 x Zq, q odd in [3, 61] unless qs says otherwise: random,
+    dense, empty or full slices, with or without (0,0), and a difference block
+    size that forces one shift per block, a few per block, or one block."""
+    q = draw(qs)
+    nonzero = frozenset(range(1, q))
+    sparse = st.frozensets(st.integers(1, q - 1)) if q > 1 else st.just(nonzero)
+    residues = {"random": sparse, "dense": sparse.map(nonzero.difference),
+                "empty": st.just(frozenset()), "full": st.just(nonzero)}
     part0 = draw(st.sampled_from(sorted(residues)).flatmap(residues.get))
     part1 = draw(st.sampled_from(sorted(residues)).flatmap(residues.get))
     zero0, zero1 = draw(st.booleans()), draw(st.booleans())
     cset = CharacteristicSet(q=q, part0=part0 | ({0} if zero0 else set()),
                              part1=part1 | ({0} if zero1 else set()))
-    return cset, draw(st.sampled_from([1, 5, adsets.DIFFERENCE_BLOCK]))
+    return cset, draw(st.sampled_from([1, 5, 1 << 10, adsets.DIFFERENCE_BLOCK]))
 
 
 def looped_spectrum(cset):
@@ -108,6 +113,23 @@ def test_difference_function_equals_distance_at(case):
     assert same.tolist() == [adsets.distance_at(cset, 0, w) for w in range(cset.q)]
     assert cross.tolist() == [adsets.distance_at(cset, 1, w) for w in range(cset.q)]
     assert histogram == looped_spectrum(cset)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(slice_sets(st.integers(1, 200)))
+@example((CharacteristicSet(q=1, part0=frozenset(), part1=frozenset({0})), 1))
+@example((CharacteristicSet(q=2, part0=frozenset({0, 1}), part1=frozenset({1})), 1))
+@example((CharacteristicSet(q=200, part0=frozenset({0, 3, 7}), part1=frozenset(range(200))), 5))
+def test_difference_function_equals_bincount_oracle(case):
+    # q odd and even, one shift per block, a few shifts per block with a
+    # ragged last block, or one block for every shift
+    cset, block = case
+    with mock.patch.object(adsets, "DIFFERENCE_BLOCK", block):
+        same, cross = adsets.difference_function(cset)
+    want_same, want_cross = difference_function_bincount(cset)
+    assert same.dtype == cross.dtype == np.int64
+    assert same.tolist() == want_same.tolist()
+    assert cross.tolist() == want_cross.tolist()
 
 
 def test_restricted_distance_q13():
@@ -181,3 +203,28 @@ def test_zero_pair_correction_identity():
 def test_membership_validation():
     with pytest.raises(ValueError):
         CharacteristicSet(q=7, part0=frozenset({7}), part1=frozenset())
+
+
+def imports_of(module) -> dict[str, set[str]]:
+    """Last component of each module imported, mapped to the names taken from it."""
+    imports = {}
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            imports.setdefault((node.module or "").rpartition(".")[2], set()).update(
+                alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imports.setdefault(alias.name.rpartition(".")[2], set()).add(
+                    alias.asname or alias.name)
+    return imports
+
+
+def test_difference_oracle_shares_no_code_with_tables_or_sequences():
+    # difference_function is the independent count that the table routes and
+    # seqkit.verify_ac_identity are held to, so it may not lean on either
+    imports = imports_of(adsets)
+    assert not set(imports).union(*imports.values()) & {"cyclotomy", "dhm", "seqkit"}
+    from_adsets = imports_of(seqkit).get("adsets", set()) | {"adsets"}
+    used = {node.id for node in ast.walk(ast.parse(inspect.getsource(seqkit.autocorrelation)))
+            if isinstance(node, ast.Name)}
+    assert used.isdisjoint(from_adsets)

@@ -220,6 +220,13 @@ def test_predicted_spectrum_matches_counts():
                 assert dhm.predicted_spectrum(q, part, I, J, z) == spec.histogram
 
 
+def test_predictions_reject_a_partition_of_another_prime():
+    part13 = dhm.calibrate_order12(cyclotomy.build_classes(13, 12, 2))
+    for predict in (dhm.predicted_spectrum, dhm.predicted_classification):
+        with pytest.raises(ValueError, match="partition of q = 13"):
+            predict(37, part13, SET_A, SET_E, False)
+
+
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
