@@ -16,7 +16,7 @@ from .cyclotomy import (CaseClassification, CyclotomicInteger12, CyclotomicSyste
 from .dhm import (Recipe, build, calibrate_order4, calibrate_order12,
                   corollary_triples, predicted_dI, predicted_dIJ, theorem12_pairs,
                   theorem_parameters, triple_recipe, verify_family)
-from .ff import IndexTable, build_index_table, find_primitive_root, is_prime, pow_mod
+from .ff import IndexTable, build_index_table, find_primitive_root, is_prime
 from .search import SearchHit, cross_prime_family_report, exhaustive_search
 from .seqkit import (AutocorrelationProfile, BinarySequence, autocorrelation,
                      characteristic_sequence, classify_sequence, crt_flatten,

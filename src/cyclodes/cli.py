@@ -102,8 +102,8 @@ def cmd_cycnums(args) -> int:
             if case.case_number != 1:
                 m1_status = f"case = {case.case_number} != 1, skipped"
             else:
-                # resolve_signs raises unless one B sign makes M1_MATRIX
-                # reproduce all 31 counted numbers
+                # resolve_signs raises unless M1_MATRIX, at the congruence
+                # signs of y and B, reproduces all 31 counted numbers
                 cyclotomy.resolve_signs(sys_, cyclotomy.quadratic_partitions(args.q))
                 checks["m1_matrix"] = True
                 m1_status = "PASS"

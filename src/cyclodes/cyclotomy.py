@@ -23,9 +23,10 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
   * For q = 12f + 1 the splitting parameters are the quadratic partitions
     q = x**2 + 4*y**2 = A**2 + 3*B**2 with x = 1 (mod 4), A = 1 (mod 6).  The
     order-4 parameters s, |t| of q = s**2 + 4*t**2 (q = 5 mod 8) solve the
-    same equation, so they are x, |y|.  The congruences fix x and A; the
-    signs of y, B and t are normalization-dependent and are resolved
-    operationally (see resolve_signs and dhm.calibrate_order4).
+    same equation, so they are x, |y|.  The congruences fix x and A.  The
+    signs of y and B depend on g, and resolve_signs pins each by one
+    congruence in g: x = 2y*g**(3f) and A = B*(2g**(4f) + 1) (mod q).  The
+    order-4 t is still fitted against counts (dhm.calibrate_order4).
 """
 
 from __future__ import annotations
@@ -209,9 +210,9 @@ class QuadraticPartition:
 
     The order-4 parameters s, |t| (q = s**2 + 4*t**2, s = 1 mod 4) are x and
     y_abs by uniqueness.  y_signed / B_signed / t_signed stay None until
-    calibrated against exact counts; B_signed is resolvable only for case-1
-    systems.  t_signed is fitted the way y_signed is, against the order-4
-    triple search instead (dhm.calibrate_order4).
+    resolved: y_signed and B_signed by resolve_signs at every order-12 prime
+    with f odd, t_signed by fitting the order-4 triple search
+    (dhm.calibrate_order4).
     """
 
     q: int
@@ -582,49 +583,35 @@ def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition):
 # sign resolution
 # ---------------------------------------------------------------------------
 
-_CAL_SET = frozenset({0, 1, 4, 5, 8, 9})
+def congruence_sign(value: int, v_abs: int, root: int, q: int) -> int:
+    """The one v in {v_abs, -v_abs} with value = v*root (mod q)."""
+    fits = [v for v in (v_abs, -v_abs) if (value - v * root) % q == 0]
+    if len(fits) != 1:
+        raise ArithmeticError(
+            f"{len(fits)} signs of {v_abs} satisfy {value} = v*{root} (mod {q})")
+    return fits[0]
 
 
 def resolve_signs(sys: CyclotomicSystem, part: QuadraticPartition) -> QuadraticPartition:
-    """Pin the sign of y (and of B for case-1 systems) against exact counts.
+    """Pin the signs of y and B by the primitive root g, one congruence each:
 
-    Both fits read the one exhaustive (m,n)_12 table of sys (sys.table).
+        x = 2y * g**(3f)  (mod q),   g**(3f) = g**((q-1)/4) a fourth root of 1;
+        A = B * (2g**(4f) + 1)  (mod q),   2g**(4f) + 1 a square root of -3
 
-    y: the unique sign for which the translate-overlap d_{I,I}(w) of the
-    class union I = {0,1,4,5,8,9} equals (q - 2y - 3)/4 on every even-class
-    shift w.  The overlap is constant on each stratum (w**-1 in D_h, h even)
-    and is read off the table by stratum_distance.  Exactly one sign may fit.
-
-    B: for case-1 systems, the unique sign making the full 31-row coefficient
-    matrix reproduce the exhaustive table.  Left unresolved otherwise.
+    (Berndt, Evans and Williams, Gauss and Jacobi Sums, 1998).  Neither sign
+    is fitted to the counts that check it.  In case 1 the coefficient matrix
+    checks the pinned signs: m1_predicted must reproduce the 31 canonical
+    numbers of the exhaustive table sys.table, else ArithmeticError.
     """
     if sys.d != 12:
         raise ValueError("sign resolution requires order 12")
     if sys.f % 2 == 0:
         raise ValueError("sign resolution requires f odd")
-    q = sys.q
-    rows = sys.table.tolist()
-    d_vals = {stratum_distance(rows, _CAL_SET, _CAL_SET, h) for h in range(0, 12, 2)}
-    fits = [y for y in sorted({part.y_abs, -part.y_abs}, reverse=True)
-            if d_vals == {(q - 2 * y - 3) // 4} and (q - 2 * y - 3) % 4 == 0]
-    if len(fits) != 1:
-        raise ArithmeticError(
-            f"y-sign calibration found {len(fits)} fits at q={q} (d_I values {d_vals})")
-    out = replace(part, y_signed=fits[0])
-
-    case = classify_case(sys)
-    if case.case_number == 1:
-        actual = brute_force_canonical(sys.table)
-        good = []
-        for b in sorted({part.B_abs, -part.B_abs}, reverse=True):
-            cand = replace(out, B_signed=b)
-            try:
-                if m1_predicted(q, cand) == actual:
-                    good.append(b)
-            except ArithmeticError:
-                pass
-        if len(good) != 1:
-            raise ArithmeticError(
-                f"B-sign calibration found {len(good)} fits at case-1 prime q={q}")
-        out = replace(out, B_signed=good[0])
+    q, g, f = sys.q, sys.g, sys.f
+    out = replace(part,
+                  y_signed=congruence_sign(part.x, part.y_abs, 2 * pow(g, 3 * f, q), q),
+                  B_signed=congruence_sign(part.A, part.B_abs, 2 * pow(g, 4 * f, q) + 1, q))
+    if classify_case(sys).case_number == 1 \
+            and m1_predicted(q, out) != brute_force_canonical(sys.table):
+        raise ArithmeticError(f"M1_MATRIX does not reproduce the counts at case-1 prime q={q}")
     return out

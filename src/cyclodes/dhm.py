@@ -13,18 +13,19 @@ Order 12 (q = 12f + 1, f odd): the conditions name pairs (I, J) of the six
 named 6-element patterns; they are families gated on x = 1 or y = +-1
 (q = x**2 + 4y**2, x = 1 mod 4).
 
-Sign conventions: the congruences pin x and A but not y, B, t.  All signed
-parameters are *outputs* of calibration against exact counts (never inputs),
-keeping every verification non-circular:
-  * y via the translate-overlap pattern of {0,1,4,5,8,9} (cyclotomy.resolve_signs),
-  * t the same way, as the one candidate sign (+1 or -1 at |t| = 1, None
-    otherwise) whose gated Corollary 1 and 2 lists reproduce the triples the
-    exhaustive order-4 search hits, with and without (0,0).
-Both read the exhaustive cyclotomic-number table sys.table, through
-cyclotomy.stratum_spectrum and stratum_distance; no closed form enters a
-calibration.  One gate table (gates) then says which conditions hold at q,
-for verify and search alike, and verify_family classifies every recipe by
-direct pair counting (adsets.distance_spectrum), the independent oracle.
+Sign conventions: the congruences pin x and A but not y, B, t.  No sign is
+fitted to the counts that check it, keeping every verification non-circular:
+  * y and B by one congruence each in the primitive root g
+    (cyclotomy.resolve_signs), at every order-12 prime with f odd; in case 1
+    the coefficient matrix must then reproduce the counted table,
+  * t as the one candidate sign (+1 or -1 at |t| = 1, None otherwise) whose
+    gated Corollary 1 and 2 lists reproduce the triples the exhaustive
+    order-4 search hits, with and without (0,0).  That fit reads the
+    exhaustive table sys.table through cyclotomy.stratum_spectrum; no closed
+    form enters it.
+One gate table (gates) then says which conditions hold at q, for verify and
+search alike, and verify_family classifies every recipe by direct pair
+counting (adsets.distance_spectrum), the independent oracle.
 
 Closed forms: the restricted distances d_I(w), d_{I,J}(w) are piecewise
 constant on cyclotomic classes, with branches indexed by the class h of

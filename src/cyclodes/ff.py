@@ -47,15 +47,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def pow_mod(a: int, e: int, q: int) -> int:
-    """a**e mod q for 0 <= a < q, e >= 0."""
-    if not 0 <= a < q:
-        raise ValueError(f"residue {a} out of range for modulus {q}")
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(a, e, q)
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2

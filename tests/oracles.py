@@ -7,12 +7,18 @@ are held to both.  autocorrelation_direct is the shift-by-shift sum that
 seqkit.autocorrelation computes in numpy blocks.  difference_function_bincount
 tallies every member difference b - a, the count that
 adsets.difference_function makes shift by shift over bool windows.
+overlap_y_sign and m1_b_sign fit the order-12 signs of y and B to the
+counted table, the way the package did before it pinned them by congruence
+(cyclotomy.resolve_signs).
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from cyclodes.adsets import CharacteristicSet
-from cyclodes.cyclotomy import CyclotomicSystem, zero_term
+from cyclodes.cyclotomy import (CyclotomicSystem, QuadraticPartition, brute_force_canonical,
+                                m1_predicted, stratum_distance, zero_term)
 
 
 def restricted_distance(set_a: frozenset[int], set_b: frozenset[int],
@@ -60,3 +66,33 @@ def difference_function_bincount(cset: CharacteristicSet) -> tuple[np.ndarray, n
 def _differences(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """counts[w] = #{(x, y) in a x b : y - x = w (mod q)}."""
     return np.bincount(((b - a[:, None]) % q).ravel(), minlength=q)
+
+
+def overlap_y_sign(sys: CyclotomicSystem, y_abs: int) -> int:
+    """The one y in {y_abs, -y_abs} for which the translate overlap d_{I,I}(w)
+    of I = {0,1,4,5,8,9} equals (q - 2y - 3)/4 on every even-class stratum,
+    read off the order-12 table of sys."""
+    q, cal = sys.q, frozenset({0, 1, 4, 5, 8, 9})
+    rows = sys.table.tolist()
+    overlaps = {stratum_distance(rows, cal, cal, h) for h in range(0, 12, 2)}
+    fits = [y for y in (y_abs, -y_abs)
+            if (q - 2 * y - 3) % 4 == 0 and overlaps == {(q - 2 * y - 3) // 4}]
+    if len(fits) != 1:
+        raise ArithmeticError(f"{len(fits)} y signs fit the overlaps {overlaps} at q={q}")
+    return fits[0]
+
+
+def m1_b_sign(sys: CyclotomicSystem, part: QuadraticPartition) -> int:
+    """The one B in {B_abs, -B_abs} for which M1_MATRIX, at part.y_signed,
+    reproduces the 31 canonical numbers of the table of a case-1 system."""
+    actual = brute_force_canonical(sys.table)
+    fits = []
+    for b in (part.B_abs, -part.B_abs):
+        try:
+            if m1_predicted(sys.q, replace(part, B_signed=b)) == actual:
+                fits.append(b)
+        except ArithmeticError:
+            pass
+    if len(fits) != 1:
+        raise ArithmeticError(f"{len(fits)} B signs reproduce the table at q={sys.q}")
+    return fits[0]

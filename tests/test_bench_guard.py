@@ -11,7 +11,7 @@ import inspect
 from pathlib import Path
 
 import cyclodes
-from cyclodes import adsets, dhm, seqkit
+from cyclodes import adsets, cyclotomy, dhm, seqkit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -55,6 +55,21 @@ def test_hit_pairs_keeps_the_parameters_a_sweep_tracer_reads():
     # ROADMAP item 0 retargets the search counters from exhaustive_search to
     # hit_pairs, reading the pairs off sys.d and the variant off include_zero
     assert list(inspect.signature(dhm.hit_pairs).parameters) == ["sys", "include_zero"]
+
+
+def test_resolve_signs_calls_classify_case_once(monkeypatch):
+    # perfbench/test_perfbench.py pins the parent of the classify_case span
+    # to resolve_signs, at q = 13
+    calls = []
+    original = cyclotomy.classify_case
+
+    def counting(sys):
+        calls.append(sys.q)
+        return original(sys)
+
+    monkeypatch.setattr(cyclotomy, "classify_case", counting)
+    cyclotomy.resolve_signs(cyclotomy.build_classes(13, 12), cyclotomy.quadratic_partitions(13))
+    assert calls == [13]
 
 
 def package_names_read(path: Path) -> set[tuple[str, str]]:

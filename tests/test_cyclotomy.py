@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cyclodes import cyclotomy as cy
 from cyclodes import ff
 from cyclodes.cyclotomy import CyclotomicInteger12 as Z12
+from oracles import m1_b_sign, overlap_y_sign
 
 
 def hermitian_square(z: Z12) -> int:
@@ -366,7 +367,38 @@ def test_resolve_signs_q37():
     part = cy.resolve_signs(s, cy.quadratic_partitions(37))
     assert abs(part.y_signed) == 3
     assert part.y_signed == 3
-    assert part.B_signed is None     # not case 1: B stays unresolved
+    assert part.B_signed == 2
+
+
+def assert_congruence_signs_equal_the_fits(bound: int) -> tuple[int, int]:
+    """At every f-odd order-12 prime below bound: exactly one sign meets each
+    congruence of resolve_signs, and the signs it pins equal the fits to the
+    table, y at every prime and B at the case-1 primes.  Returns the number
+    of primes and of case-1 primes."""
+    primes = [q for q in range(13, bound, 24) if ff.is_prime(q)]
+    case1 = 0
+    for q in primes:
+        s = cy.build_classes(q, 12)
+        part = cy.resolve_signs(s, cy.quadratic_partitions(q))
+        i4, r3 = pow(s.g, 3 * s.f, q), 2 * pow(s.g, 4 * s.f, q) + 1
+        assert i4 * i4 % q == q - 1 and r3 * r3 % q == q - 3, q
+        for value, v_abs, root in ((part.x, part.y_abs, 2 * i4), (part.A, part.B_abs, r3)):
+            assert sum((value - v * root) % q == 0 for v in (v_abs, -v_abs)) == 1, q
+        assert part.y_signed == overlap_y_sign(s, part.y_abs), q
+        if cy.classify_case(s).case_number == 1:
+            case1 += 1
+            assert part.B_signed == m1_b_sign(s, part), q
+    return len(primes), case1
+
+
+def test_congruence_signs_equal_the_fits_below_20000():
+    assert assert_congruence_signs_equal_the_fits(20000) == (288, 40)
+
+
+def test_congruence_sign_refuses_a_wrong_root():
+    assert cy.congruence_sign(-3, 1, 2 * 8, 13) == -1        # 8 = 2**3, 8**2 = -1 (mod 13)
+    with pytest.raises(ArithmeticError):
+        cy.congruence_sign(-3, 1, 2 * 4, 13)
 
 
 def test_cubic_residue_02_predicate():

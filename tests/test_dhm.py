@@ -424,3 +424,19 @@ def test_theorem_parameters():
     assert dhm.theorem_parameters(13, False) == (26, 12, 5, 18)
     assert dhm.theorem_parameters(13, True) == (26, 13, 6, 19)
     assert dhm.theorem_parameters(37, False) == (74, 36, 17, 54)
+
+
+def test_order4_t_sign_meets_the_order12_y_congruence():
+    """At every |t| = 1 prime q = 5 (mod 8) below 20,000 the fitted t is the
+    one sign with s = 2t * g**((q-1)/4) (mod q), the root that pins y at
+    order 12 (cyclotomy.resolve_signs)."""
+    checked = []
+    for q in range(5, 20000, 8):
+        if not ff.is_prime(q) or cyclotomy.quadratic_partitions(q).y_abs != 1:
+            continue
+        s = cyclotomy.build_classes(q, 4)
+        part = dhm.match_order4_conditions(s)
+        root = 2 * pow(s.g, (q - 1) // 4, q)
+        assert part.t_signed == cyclotomy.congruence_sign(part.x, part.y_abs, root, q), q
+        checked.append(q)
+    assert len(checked) == 27

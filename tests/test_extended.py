@@ -1,4 +1,5 @@
-"""Extended validation sweeps beyond the acceptance scope (~80 s total).
+"""Extended validation sweeps beyond the acceptance scope (~200 s total on 2
+cores, 140 s of it the congruence-sign sweep to 2**20).
 
 Opt in with CYCLODES_EXTENDED=1; the default suite keeps the spec'd ranges.
 """
@@ -9,7 +10,7 @@ import pytest
 
 from cyclodes import cyclotomy, dhm, ff
 from oracles import restricted_distance
-from test_cyclotomy import direct_jacobi_sum
+from test_cyclotomy import assert_congruence_signs_equal_the_fits, direct_jacobi_sum
 from test_dhm import assert_fit_matches_list_matching, assert_gated_lists_are_the_hits
 from test_search import unbalanced_hit_primes
 from test_stratum import full_grid_hit_pairs
@@ -33,6 +34,10 @@ def test_m1_matrix_to_5000():
         assert cyclotomy.m1_predicted(q, part) == \
             cyclotomy.brute_force_canonical(cyclotomy.cyclotomic_numbers(s)), q
     assert case1 == [13, 709, 757, 1117, 1213, 2029, 2557, 3253, 3637, 3733, 4021]
+
+
+def test_congruence_signs_equal_the_fits_to_q_limit():
+    assert assert_congruence_signs_equal_the_fits(ff.Q_LIMIT) == (10263, 1611)
 
 
 def test_closed_forms_to_1000():

@@ -1,29 +1,6 @@
-import random
-
 import pytest
 
 from cyclodes import ff
-
-
-def test_pow_mod_examples():
-    assert ff.pow_mod(2, 12, 13) == 1      # Fermat
-    assert ff.pow_mod(5, 0, 13) == 1       # empty product
-    assert ff.pow_mod(2, 4, 13) == 3
-
-
-def test_pow_mod_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        ff.pow_mod(13, 2, 13)
-    with pytest.raises(ValueError):
-        ff.pow_mod(2, -1, 13)
-
-
-def test_pow_mod_matches_builtin():
-    rng = random.Random(7)
-    for _ in range(200):
-        q = rng.choice([13, 29, 101, 997])
-        a, e = rng.randrange(q), rng.randrange(5000)
-        assert ff.pow_mod(a, e, q) == pow(a, e, q)
 
 
 def test_is_prime_examples():
