@@ -9,7 +9,7 @@ three-level autocorrelation.
 
 from .adsets import (CharacteristicSet, DifferenceSpectrum, SetClassification,
                      classify, distance_spectrum)
-from .cyclotomy import (CaseClassification, CyclotomicInteger12, CyclotomicSystem,
+from .cyclotomy import (CaseClassification, CyclotomicSystem,
                         QuadraticPartition, build_classes, c_parameter, classify_case,
                         cyclotomic_numbers, jacobi_sum, m1_predicted,
                         quadratic_partitions, reduce_hk, resolve_signs, stratum_spectrum)

@@ -26,8 +26,8 @@ from pathlib import Path
 from . import adsets, cyclotomy, dhm, search, seqkit
 
 # verify and sequence run the O(q^2) direct-count oracles (difference function,
-# autocorrelation): just below this q they already take 4.3 s and 0.43 s (README
-# "Cost"), and near 2**20 verify would take most of a day.
+# autocorrelation): near this q, at q = 8101, they take 1.6 s and 0.26 s (README
+# "Cost"), and near 2**20 verify would take hours.
 ORACLE_Q_LIMIT = 1 << 13
 
 

@@ -13,13 +13,15 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
   * assemble_strata is the one layout of a product set's 2d + 1 difference
     strata: stratum_spectrum fills it from the table's class sums,
     dhm.predicted_spectrum from the paper's closed forms.
-  * Jacobi sums live in the ring Z[beta], beta = exp(2*pi*1j/12), represented
-    exactly on the integral basis {1, beta, beta**2, beta**3} with
-    beta**4 = beta**2 - 1.  No floating point anywhere.  Each J(m, n) is a
-    Z[beta]-linear combination of the order-12 cyclotomic numbers (Berndt,
-    Evans and Williams, Gauss and Jacobi Sums, 1998, ch. 2), so jacobi_sum
-    reads it off the counted table; the c parameter and the case split behind
-    every calibration need no second pass over GF(q).
+  * Jacobi sums live in the ring Z[beta], beta = exp(2*pi*1j/12).  Each is
+    the 4-tuple of integers (c0, c1, c2, c3) on the integral basis
+    {1, beta, beta**2, beta**3}; the only product needed is by beta, which
+    _times_beta carries out with beta**4 = beta**2 - 1.  No floating point
+    anywhere.  Each J(m, n) is a Z[beta]-linear combination of the order-12
+    cyclotomic numbers (Berndt, Evans and Williams, Gauss and Jacobi Sums,
+    1998, ch. 2), so jacobi_sum reads it off the counted table; the c
+    parameter and the case split behind every calibration need no second
+    pass over GF(q).
   * For q = 12f + 1 the splitting parameters are the quadratic partitions
     q = x**2 + 4*y**2 = A**2 + 3*B**2 with x = 1 (mod 4), A = 1 (mod 6).  The
     order-4 parameters s, |t| of q = s**2 + 4*t**2 (q = 5 mod 8) solve the
@@ -259,79 +261,16 @@ def quadratic_partitions(q: int) -> QuadraticPartition:
 
 
 # ---------------------------------------------------------------------------
-# exact arithmetic in Z[beta], beta a primitive 12th root of unity
+# Jacobi sums in Z[beta], beta a primitive 12th root of unity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CyclotomicInteger12:
-    """c0 + c1*beta + c2*beta**2 + c3*beta**3 with beta**4 = beta**2 - 1.
-
-    The basis is integral and the representation unique, so equality is
-    coefficient equality.  Complex conjugation is the automorphism
-    beta -> beta**11.
-    """
-
-    c0: int = 0
-    c1: int = 0
-    c2: int = 0
-    c3: int = 0
-
-    @staticmethod
-    def from_int(n: int) -> "CyclotomicInteger12":
-        return CyclotomicInteger12(n, 0, 0, 0)
-
-    @staticmethod
-    def root_power(k: int) -> "CyclotomicInteger12":
-        return _BETA_POWERS[k % 12]
-
-    def __add__(self, other: "CyclotomicInteger12") -> "CyclotomicInteger12":
-        return CyclotomicInteger12(self.c0 + other.c0, self.c1 + other.c1,
-                                   self.c2 + other.c2, self.c3 + other.c3)
-
-    def __sub__(self, other: "CyclotomicInteger12") -> "CyclotomicInteger12":
-        return CyclotomicInteger12(self.c0 - other.c0, self.c1 - other.c1,
-                                   self.c2 - other.c2, self.c3 - other.c3)
-
-    def __neg__(self) -> "CyclotomicInteger12":
-        return CyclotomicInteger12(-self.c0, -self.c1, -self.c2, -self.c3)
-
-    def __mul__(self, other: "CyclotomicInteger12") -> "CyclotomicInteger12":
-        a = (self.c0, self.c1, self.c2, self.c3)
-        b = (other.c0, other.c1, other.c2, other.c3)
-        prod = [0] * 7
-        for i in range(4):
-            if a[i] == 0:
-                continue
-            for j in range(4):
-                prod[i + j] += a[i] * b[j]
-        # reduce: beta**4 = beta**2 - 1, beta**5 = beta**3 - beta, beta**6 = -1
-        return CyclotomicInteger12(
-            prod[0] - prod[4] - prod[6],
-            prod[1] - prod[5],
-            prod[2] + prod[4],
-            prod[3] + prod[5],
-        )
-
-    def conjugate(self) -> "CyclotomicInteger12":
-        # beta -> beta**11 = beta - beta**3; beta**2 -> 1 - beta**2; beta**3 -> -beta**3
-        return CyclotomicInteger12(
-            self.c0 + self.c2, self.c1, -self.c2, -(self.c1 + self.c3)
-        )
+def _times_beta(z: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """beta * (c0 + c1*beta + c2*beta**2 + c3*beta**3), by beta**4 = beta**2 - 1."""
+    c0, c1, c2, c3 = z
+    return (-c3, c0, c1 + c3, c2)
 
 
-def _beta_powers() -> tuple[CyclotomicInteger12, ...]:
-    out = [CyclotomicInteger12(1, 0, 0, 0)]
-    for _ in range(11):
-        p = out[-1]
-        # multiply by beta: (c0,c1,c2,c3) -> (-c3, c0, c1 + c3, c2)
-        out.append(CyclotomicInteger12(-p.c3, p.c0, p.c1 + p.c3, p.c2))
-    return tuple(out)
-
-
-_BETA_POWERS = _beta_powers()
-
-
-def jacobi_sum(sys: CyclotomicSystem, m: int, n: int) -> CyclotomicInteger12:
+def jacobi_sum(sys: CyclotomicSystem, m: int, n: int) -> tuple[int, int, int, int]:
     """J(m, n): the sum of beta**(m*Ind(a) + n*Ind(b)) over a + b = 1, a, b in
     GF(q)*, read off the order-12 table in 144 terms:
 
@@ -340,7 +279,9 @@ def jacobi_sum(sys: CyclotomicSystem, m: int, n: int) -> CyclotomicInteger12:
     e the class of -1.  a in D_{i-e} with 1 - a in D_j is exactly x = -a in
     D_i with x + 1 in D_j, and x runs over [1, q-2] as the table counts it, so
     the relation is exact for f odd and even (Berndt, Evans and Williams,
-    Gauss and Jacobi Sums, 1998, ch. 2).  Requires d = 12.
+    Gauss and Jacobi Sums, 1998, ch. 2).  Returned as the integers
+    (c0, c1, c2, c3) of c0 + c1*beta + c2*beta**2 + c3*beta**3, unique on
+    this integral basis.  Requires d = 12.
     """
     if sys.d != 12:
         raise ValueError("Jacobi sums are implemented for order 12 only")
@@ -349,18 +290,20 @@ def jacobi_sum(sys: CyclotomicSystem, m: int, n: int) -> CyclotomicInteger12:
     for i, row in enumerate(sys.table.tolist()):
         for j, count in enumerate(row):
             weight[(m * (i - e) + n * j) % 12] += count
-    total = CyclotomicInteger12()
-    for w, power in zip(weight, _BETA_POWERS):
-        total += CyclotomicInteger12.from_int(w) * power
+    total = (0, 0, 0, 0)       # Horner: sum of weight[k] * beta**k
+    for w in reversed(weight):
+        c0, c1, c2, c3 = _times_beta(total)
+        total = (c0 + w, c1, c2, c3)
     return total
 
 
 def c_parameter(sys: CyclotomicSystem) -> int:
     """Index k in [0,12) with phi(beta**3, beta) = beta**k * phi(beta**5, beta).
 
-    Division is realized as a 12-candidate multiplication test, which is exact
-    in Z[beta].  Exactly one candidate matches (both sums have norm q != 0);
-    anything else signals a bug or a violated precondition.
+    Division is realized as a 12-candidate test, stepping phi(beta**5, beta)
+    by beta and comparing coefficients, which is exact in Z[beta].  Exactly
+    one candidate matches (both sums have norm q != 0); anything else signals
+    a bug or a violated precondition.
     """
     if sys.d != 12:
         raise ValueError("c parameter requires order 12")
@@ -368,7 +311,11 @@ def c_parameter(sys: CyclotomicSystem) -> int:
         raise ValueError("c parameter classification requires f odd")
     num = jacobi_sum(sys, 3, 1)
     den = jacobi_sum(sys, 5, 1)
-    matches = [k for k in range(12) if _BETA_POWERS[k] * den == num]
+    matches = []
+    for k in range(12):
+        if den == num:
+            matches.append(k)
+        den = _times_beta(den)
     if len(matches) != 1:
         raise ArithmeticError(f"c-parameter test matched {matches} for q={sys.q}")
     return matches[0]
@@ -405,14 +352,6 @@ class CaseClassification:
     M_prime: int
     c_index: int
     case_number: int | str
-
-    @property
-    def M_mod6(self) -> int:
-        return self.M % 6
-
-    @property
-    def Mp_mod4(self) -> int:
-        return self.M_prime % 4
 
 
 def classify_case(sys: CyclotomicSystem) -> CaseClassification:

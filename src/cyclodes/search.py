@@ -27,7 +27,8 @@ the subset pairs behind the vector pairs that pass all d are expanded, and
 they alone get the cross-slice strata, the (1,0) shift and the lambda count.
 At d = 12 that is 2,058 of 853,776 pairs at q = 13, and at most 114 at every
 prime from 229 to 5000.  The slow route (adsets.distance_spectrum per pair)
-computes the same thing by direct pair enumeration; the two are
+computes the same thing by direct counting, every shift of one slice's
+indicator against the other's (adsets.difference_function); the two are
 cross-checked in the test suite and the theorem recipes are always
 re-verified through the slow route.
 

@@ -72,6 +72,21 @@ def test_resolve_signs_calls_classify_case_once(monkeypatch):
     assert calls == [13]
 
 
+def test_c_parameter_calls_jacobi_sum_twice(monkeypatch):
+    # perfbench/test_perfbench.py pins cyclotomy.jacobi_sum.calls on
+    # cycnums-large at two per classify_case
+    calls = []
+    original = cyclotomy.jacobi_sum
+
+    def counting(sys, m, n):
+        calls.append((m, n))
+        return original(sys, m, n)
+
+    monkeypatch.setattr(cyclotomy, "jacobi_sum", counting)
+    cyclotomy.c_parameter(cyclotomy.build_classes(13, 12))
+    assert calls == [(3, 1), (5, 1)]
+
+
 def package_names_read(path: Path) -> set[tuple[str, str]]:
     """(module, attribute) for every module.attribute a bench file reads, and
     every (module, "name") pair it lists as a binding site."""

@@ -1,4 +1,4 @@
-import random
+import cmath
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,22 +6,41 @@ from hypothesis import strategies as st
 
 from cyclodes import cyclotomy as cy
 from cyclodes import ff
-from cyclodes.cyclotomy import CyclotomicInteger12 as Z12
 from oracles import m1_b_sign, overlap_y_sign
 
 
-def hermitian_square(z: Z12) -> int:
-    """|z|**2 = z * conj(z), which must be a rational integer here.
+def reduce_mod_phi12(poly):
+    """Remainder of an integer polynomial (coefficients low to high) by long
+    division by Phi_12(x) = x**4 - x**2 + 1, padded to four coefficients."""
+    rem = list(poly) + [0] * max(0, 4 - len(poly))
+    for top in range(len(rem) - 1, 3, -1):
+        c, rem[top] = rem[top], 0      # subtract c * x**(top-4) * Phi_12
+        rem[top - 2] += c
+        rem[top - 4] -= c
+    return rem[:4]
 
-    The product always lies in Z[sqrt(3)]; raises if the sqrt(3) part is
-    nonzero (never the case for the Jacobi sums this is used on).
+
+def hermitian_square(z) -> int:
+    """|z|**2 = z * conj(z) for z = (c0, c1, c2, c3) in Z[beta], which must be
+    a rational integer here.
+
+    Conjugation is beta -> beta**11: z evaluated at x**11, then reduced.  The
+    product is the schoolbook product, reduced by long division.  Raises if
+    it is not a rational integer (never the case for the Jacobi sums this is
+    used on).
     """
-    prod = z * z.conjugate()
-    # Z[sqrt(3)] elements have the form a + b*(beta + beta**11)
-    #   = a + b*(2*beta - beta**3): c2 must vanish and c1 = -2*c3.
-    if prod.c2 != 0 or prod.c1 != -2 * prod.c3 or prod.c3 != 0:
+    conj = [0] * 34
+    for k, c in enumerate(z):
+        conj[11 * k] = c
+    conj = reduce_mod_phi12(conj)
+    product = [0] * 7
+    for i in range(4):
+        for j in range(4):
+            product[i + j] += z[i] * conj[j]
+    prod = reduce_mod_phi12(product)
+    if prod[1:] != [0, 0, 0]:
         raise ArithmeticError(f"|z|^2 not a rational integer: {prod}")
-    return prod.c0
+    return prod[0]
 
 
 def label_multiplicities() -> dict[str, int]:
@@ -123,82 +142,32 @@ def test_partition_uniqueness_and_congruences():
 # ---------------------------------------------------------------------------
 
 def test_beta_relations():
-    b = Z12.root_power(1)
-    assert b * b * b * b == Z12(-1, 0, 1, 0)            # beta^4 = beta^2 - 1
-    assert Z12.root_power(6) == Z12.from_int(-1)        # beta^6 = -1
-    assert Z12.root_power(12) == Z12.from_int(1)
-    for k in range(12):
-        prod = Z12.root_power(k) * Z12.root_power(12 - k)
-        assert prod == Z12.from_int(1)
-
-
-def test_ring_commutativity_and_conjugation():
-    rng = random.Random(5)
-    for _ in range(50):
-        a = Z12(*[rng.randrange(-9, 10) for _ in range(4)])
-        b = Z12(*[rng.randrange(-9, 10) for _ in range(4)])
-        assert a * b == b * a
-        assert (a + b).conjugate() == a.conjugate() + b.conjugate()
-        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-    for k in range(12):
-        assert Z12.root_power(k).conjugate() == Z12.root_power((12 - k) % 12)
-
-
-def reduce_mod_phi12(poly):
-    """Remainder of an integer polynomial (coefficients low to high) by long
-    division by Phi_12(x) = x**4 - x**2 + 1, padded to four coefficients."""
-    rem = list(poly) + [0] * max(0, 4 - len(poly))
-    for top in range(len(rem) - 1, 3, -1):
-        c, rem[top] = rem[top], 0      # subtract c * x**(top-4) * Phi_12
-        rem[top - 2] += c
-        rem[top - 4] -= c
-    return rem[:4]
-
-
-coefficients = st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(coefficients, coefficients)
-def test_ring_product_equals_polynomial_remainder(a, b):
-    # pure-integer oracle: the schoolbook product, reduced by long division
-    product = [0] * 7
-    for i in range(4):
-        for j in range(4):
-            product[i + j] += a[i] * b[j]
-    assert Z12(*a) * Z12(*b) == Z12(*reduce_mod_phi12(product))
+    # beta**k by repeated _times_beta equals x**k reduced by long division
+    z = (1, 0, 0, 0)
+    for k in range(24):
+        assert z == tuple(reduce_mod_phi12([0] * k + [1])), k
+        z = cy._times_beta(z)
 
 
 def test_ring_against_complex_arithmetic():
     # independent oracle: evaluate at beta = exp(i*pi/6) in floating point
-    import cmath
     beta = cmath.exp(1j * cmath.pi / 6)
-
-    def to_complex(z):
-        return z.c0 + z.c1 * beta + z.c2 * beta ** 2 + z.c3 * beta ** 3
-
-    rng = random.Random(23)
-    for _ in range(50):
-        a = Z12(*[rng.randrange(-9, 10) for _ in range(4)])
-        b = Z12(*[rng.randrange(-9, 10) for _ in range(4)])
-        assert abs(to_complex(a * b) - to_complex(a) * to_complex(b)) < 1e-9
-        assert abs(to_complex(a.conjugate()) - to_complex(a).conjugate()) < 1e-9
     s = cy.build_classes(37, 12, 2)
     phi = cy.jacobi_sum(s, 3, 1)
-    assert abs(abs(to_complex(phi)) ** 2 - 37) < 1e-9
+    assert abs(abs(sum(c * beta ** k for k, c in enumerate(phi))) ** 2 - 37) < 1e-9
     assert hermitian_square(phi) == 37
 
 
 def test_jacobi_sum_trivial_character():
     s = cy.build_classes(13, 12, 2)
-    assert cy.jacobi_sum(s, 0, 0) == Z12.from_int(11)   # q - 2 terms, all 1
+    assert cy.jacobi_sum(s, 0, 0) == (11, 0, 0, 0)   # q - 2 terms, all 1
 
 
 def test_jacobi_sum_value_q13():
     # phi(beta^3, beta) at q=13, g=2 computed by hand: -2 - 3*beta^3
     s = cy.build_classes(13, 12, 2)
-    assert cy.jacobi_sum(s, 3, 1) == Z12(-2, 0, 0, -3)
-    assert cy.jacobi_sum(s, 5, 1) == Z12(-3, 0, 0, 2)
+    assert cy.jacobi_sum(s, 3, 1) == (-2, 0, 0, -3)
+    assert cy.jacobi_sum(s, 5, 1) == (-3, 0, 0, 2)
 
 
 def direct_jacobi_sum(s, m, n):
@@ -207,10 +176,7 @@ def direct_jacobi_sum(s, m, n):
     weight = [0] * 12
     for a in range(2, q):
         weight[(m * ind[a] + n * ind[q + 1 - a]) % 12] += 1
-    total = Z12()
-    for k, w in enumerate(weight):
-        total += Z12.from_int(w) * Z12.root_power(k)
-    return total
+    return tuple(reduce_mod_phi12(weight))
 
 
 ORDER12_PRIMES = [q for q in range(13, 3000, 12) if ff.is_prime(q)]
@@ -250,6 +216,24 @@ def test_c_parameter_consistency_with_case():
     assert cy.c_parameter(s) == 6
 
 
+def direct_jacobi_sum_complex(s, m, n):
+    """The direct a + b = 1 sum evaluated at beta = exp(i*pi/6) in floating
+    point, sharing no arithmetic with Z[beta]."""
+    q, ind = s.q, s.index.ind.tolist()
+    return sum(cmath.exp(1j * cmath.pi * (m * ind[a] + n * ind[q + 1 - a]) / 6)
+               for a in range(2, q))
+
+
+def test_c_parameter_equals_complex_ratio_below_5000():
+    # J(3,1) = beta**c J(5,1) at every f-odd order-12 prime below 5000
+    for q in range(13, 5000, 24):
+        if not ff.is_prime(q):
+            continue
+        s = cy.build_classes(q, 12)
+        ratio = direct_jacobi_sum_complex(s, 3, 1) / direct_jacobi_sum_complex(s, 5, 1)
+        assert abs(ratio - cmath.exp(1j * cmath.pi * cy.c_parameter(s) / 6)) < 1e-9, q
+
+
 # ---------------------------------------------------------------------------
 # case classification
 # ---------------------------------------------------------------------------
@@ -258,7 +242,7 @@ def test_classify_case_q13():
     s = cy.build_classes(13, 12, 2)
     case = cy.classify_case(s)
     assert (case.M, case.M_prime) == (1, 4)      # 2 = g^1, 3 = 2^4 = 16 (mod 13)
-    assert (case.Mp_mod4, case.M_mod6) == (0, 1)
+    assert (case.M_prime % 4, case.M % 6) == (0, 1)
     assert case.case_number == 1
 
 
