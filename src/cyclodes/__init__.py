@@ -13,9 +13,9 @@ from .cyclotomy import (CaseClassification, CyclotomicSystem,
                         QuadraticPartition, build_classes, c_parameter, classify_case,
                         cyclotomic_numbers, jacobi_sum, m1_predicted,
                         quadratic_partitions, reduce_hk, resolve_signs, stratum_spectrum)
-from .dhm import (Recipe, build, calibrate_order4, calibrate_order12,
-                  corollary_triples, predicted_dI, predicted_dIJ, theorem12_pairs,
-                  theorem_parameters, triple_recipe, verify_family)
+from .dhm import (Recipe, build, calibrate_order12, corollary_triples, predicted_dI,
+                  predicted_dIJ, theorem12_pairs, theorem_parameters, triple_recipe,
+                  verify_family)
 from .ff import IndexTable, build_index_table, find_primitive_root, is_prime
 from .search import SearchHit, cross_prime_family_report, exhaustive_search
 from .seqkit import (AutocorrelationProfile, BinarySequence, autocorrelation,

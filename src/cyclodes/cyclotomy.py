@@ -25,10 +25,11 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
   * For q = 12f + 1 the splitting parameters are the quadratic partitions
     q = x**2 + 4*y**2 = A**2 + 3*B**2 with x = 1 (mod 4), A = 1 (mod 6).  The
     order-4 parameters s, |t| of q = s**2 + 4*t**2 (q = 5 mod 8) solve the
-    same equation, so they are x, |y|.  The congruences fix x and A.  The
-    signs of y and B depend on g, and resolve_signs pins each by one
-    congruence in g: x = 2y*g**(3f) and A = B*(2g**(4f) + 1) (mod q).  The
-    order-4 t is still fitted against counts (dhm.calibrate_order4).
+    same equation, so they are x, |y|, and t is y.  The congruences fix x
+    and A.  The signs of y and B depend on g, and resolve_signs pins each by
+    one congruence in g: x = 2y*g**((q-1)/4) at orders 4 and 12, and
+    A = B*(2g**((q-1)/3) + 1) at order 12 (mod q).  No sign is fitted to the
+    counts that check it.
 """
 
 from __future__ import annotations
@@ -210,11 +211,10 @@ class QuadraticPartition:
     q = x**2 + 4*y_abs**2   with x = 1 (mod 4)          (requires q = 1 mod 4)
     q = A**2 + 3*B_abs**2   with A = 1 (mod 6)          (requires q = 1 mod 3)
 
-    The order-4 parameters s, |t| (q = s**2 + 4*t**2, s = 1 mod 4) are x and
-    y_abs by uniqueness.  y_signed / B_signed / t_signed stay None until
-    resolved: y_signed and B_signed by resolve_signs at every order-12 prime
-    with f odd, t_signed by fitting the order-4 triple search
-    (dhm.calibrate_order4).
+    The order-4 parameters s, t (q = s**2 + 4*t**2, s = 1 mod 4) are x and
+    y by uniqueness, signs included.  y_signed and B_signed stay None until
+    resolve_signs pins them: y_signed at every order-4 or order-12 prime with
+    f odd, B_signed at order 12.
     """
 
     q: int
@@ -224,7 +224,6 @@ class QuadraticPartition:
     B_abs: int | None = None
     y_signed: int | None = None
     B_signed: int | None = None
-    t_signed: int | None = None
 
 
 def _two_square_partition(q: int, weight: int, residue: int, modulus: int):
@@ -495,29 +494,6 @@ def brute_force_canonical(table: np.ndarray) -> dict[str, int]:
     return out
 
 
-def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition):
-    """Side-condition identity 144*(0,2)_12 = q + 1 - 2A + 24B - 12x.
-
-    Applies when 2 is a cubic residue, 3 is a biquadratic residue, and f is
-    odd; B's sign is not pinned by the identity, so both are tried.  Returns
-    None when the side conditions fail, else the set of B signs (+1/-1/0)
-    satisfying the identity exactly.  Refuses a system of order other than 12.
-    """
-    if sys.d != 12:
-        raise ValueError("the (0,2)_12 identity requires order 12")
-    if sys.f % 2 == 0:
-        return None
-    if sys.index(2) % 3 != 0 or sys.index(3) % 4 != 0:
-        return None
-    target = 144 * int(sys.table[0, 2])
-    signs = set()
-    cands = {part.B_abs, -part.B_abs}
-    for b in cands:
-        if part.q + 1 - 2 * part.A + 24 * b - 12 * part.x == target:
-            signs.add(0 if part.B_abs == 0 else (1 if b > 0 else -1))
-    return signs
-
-
 # ---------------------------------------------------------------------------
 # sign resolution
 # ---------------------------------------------------------------------------
@@ -532,24 +508,27 @@ def congruence_sign(value: int, v_abs: int, root: int, q: int) -> int:
 
 
 def resolve_signs(sys: CyclotomicSystem, part: QuadraticPartition) -> QuadraticPartition:
-    """Pin the signs of y and B by the primitive root g, one congruence each:
+    """Pin the sign of y (the order-4 t) by the primitive root g, and at
+    order 12 that of B, one congruence each:
 
-        x = 2y * g**(3f)  (mod q),   g**(3f) = g**((q-1)/4) a fourth root of 1;
-        A = B * (2g**(4f) + 1)  (mod q),   2g**(4f) + 1 a square root of -3
+        x = 2y * g**((q-1)/4)  (mod q),   g**((q-1)/4) a fourth root of 1;
+        A = B * (2g**((q-1)/3) + 1)  (mod q),   2g**((q-1)/3) + 1 a square root of -3
 
     (Berndt, Evans and Williams, Gauss and Jacobi Sums, 1998).  Neither sign
-    is fitted to the counts that check it.  In case 1 the coefficient matrix
+    is fitted to the counts that check it: at order 4 the hit triples do
+    (dhm.match_order4_conditions).  In order-12 case 1 the coefficient matrix
     checks the pinned signs: m1_predicted must reproduce the 31 canonical
     numbers of the exhaustive table sys.table, else ArithmeticError.
     """
-    if sys.d != 12:
-        raise ValueError("sign resolution requires order 12")
-    if sys.f % 2 == 0:
-        raise ValueError("sign resolution requires f odd")
-    q, g, f = sys.q, sys.g, sys.f
-    out = replace(part,
-                  y_signed=congruence_sign(part.x, part.y_abs, 2 * pow(g, 3 * f, q), q),
-                  B_signed=congruence_sign(part.A, part.B_abs, 2 * pow(g, 4 * f, q) + 1, q))
+    if sys.d not in (4, 12) or sys.f % 2 == 0:
+        raise ValueError("sign resolution requires order 4 or 12 with f odd")
+    q, g = sys.q, sys.g
+    out = replace(part, y_signed=congruence_sign(part.x, part.y_abs,
+                                                 2 * pow(g, (q - 1) // 4, q), q))
+    if sys.d == 4:
+        return out
+    out = replace(out, B_signed=congruence_sign(part.A, part.B_abs,
+                                                2 * pow(g, (q - 1) // 3, q) + 1, q))
     if classify_case(sys).case_number == 1 \
             and m1_predicted(q, out) != brute_force_canonical(sys.table):
         raise ArithmeticError(f"M1_MATRIX does not reproduce the counts at case-1 prime q={q}")

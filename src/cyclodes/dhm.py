@@ -7,22 +7,22 @@ Order 4 (q = 5 mod 8, so f odd): the conditions name triples (i, j, l) of
 distinct class indices, the recipe I = {i, j}, J = {l, j} (triple_recipe);
 they are three fixed 8-triple lists gated on t = 1, t = -1, or s = 1
 (q = s**2 + 4t**2, s = 1 mod 4).  That is the equation of the order-12
-partition below, so the paper's s and |t| are x and |y| (part.x, part.y_abs).
+partition below, so the paper's s and t are x and y (part.x, part.y_signed).
 
 Order 12 (q = 12f + 1, f odd): the conditions name pairs (I, J) of the six
 named 6-element patterns; they are families gated on x = 1 or y = +-1
 (q = x**2 + 4y**2, x = 1 mod 4).
 
-Sign conventions: the congruences pin x and A but not y, B, t.  No sign is
-fitted to the counts that check it, keeping every verification non-circular:
-  * y and B by one congruence each in the primitive root g
-    (cyclotomy.resolve_signs), at every order-12 prime with f odd; in case 1
-    the coefficient matrix must then reproduce the counted table,
-  * t as the one candidate sign (+1 or -1 at |t| = 1, None otherwise) whose
-    gated Corollary 1 and 2 lists reproduce the triples the exhaustive
-    order-4 search hits, with and without (0,0).  That fit reads the
-    exhaustive table sys.table through cyclotomy.stratum_spectrum; no closed
-    form enters it.
+Sign conventions: the congruences pin x and A but not y (the order-4 t) or
+B.  cyclotomy.resolve_signs pins y by one congruence in the primitive root g
+at orders 4 and 12, and B by another at order 12, f odd.  No sign is fitted
+to the counts that check it, keeping every verification non-circular:
+  * at order 12, in case 1, the coefficient matrix must reproduce the
+    counted table,
+  * at order 4, the gated Corollary 1 and 2 lists must be exactly the
+    triples the exhaustive order-4 search hits, with and without (0,0)
+    (match_order4_conditions).  The search reads the exhaustive table
+    sys.table through cyclotomy.stratum_spectrum; no closed form enters it.
 One gate table (gates) then says which conditions hold at q, for verify and
 search alike, and verify_family classifies every recipe by direct pair
 counting (adsets.distance_spectrum), the independent oracle.
@@ -49,7 +49,7 @@ predicted_classification reproduces the rule from the closed forms
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -372,34 +372,33 @@ def predicted_dI(sys: CyclotomicSystem, I: frozenset[int], w: int,
     return predicted_dIJ(sys, I, I, w, part)
 
 
-def predicted_spectrum(q: int, part: QuadraticPartition, I: frozenset[int],
+def predicted_spectrum(part: QuadraticPartition, I: frozenset[int],
                        J: frozenset[int], include_zero: bool) -> dict[int, int]:
-    """Predicted difference histogram of the (I, J) construction from the
-    closed forms alone (no counting): cyclotomy.assemble_strata of
-    predicted_distance.  f is odd, so -1 lies in class 6.  q must be part.q."""
-    if q != part.q:
-        raise ValueError(f"q = {q} does not match the partition of q = {part.q}")
-    return cyclotomy.assemble_strata(predicted_distance, part, 12, (q - 1) // 12, 6,
+    """Predicted difference histogram of the (I, J) construction at q = part.q
+    from the closed forms alone (no counting): cyclotomy.assemble_strata of
+    predicted_distance.  f is odd, so -1 lies in class 6."""
+    return cyclotomy.assemble_strata(predicted_distance, part, 12, (part.q - 1) // 12, 6,
                                      I, J, include_zero)
 
 
-def predicted_classification(q: int, part: QuadraticPartition, I: frozenset[int],
+def predicted_classification(part: QuadraticPartition, I: frozenset[int],
                              J: frozenset[int], include_zero: bool) -> bool:
-    """Whether the closed forms predict the target ADS parameters for (I, J):
-    adsets.classify of the predicted spectrum."""
+    """Whether the closed forms predict the target ADS parameters for (I, J)
+    at q = part.q: adsets.classify of the predicted spectrum."""
+    q = part.q
     spec = DifferenceSpectrum(n=2 * q, k=(q - 1) // 12 * (len(I) + len(J)) + include_zero,
-                              histogram=predicted_spectrum(q, part, I, J, include_zero))
+                              histogram=predicted_spectrum(part, I, J, include_zero))
     return classify(spec).parameters == theorem_parameters(q, include_zero)
 
 
-def zero_slot_pairs(q: int, part: QuadraticPartition):
+def zero_slot_pairs(part: QuadraticPartition):
     """Ordered parity-pattern pairs whose with-zero construction is predicted
     to reach the target parameters; at |y| = 1 primes this is exactly one slot
     order for each of the eight unordered pairs drawn from both y families."""
     pairs = []
     for cond in ("y1a", "y1b", "ym1a", "ym1b"):
         for (I, J) in theorem12_pairs(cond):
-            if (I, J) not in pairs and predicted_classification(q, part, I, J, True):
+            if (I, J) not in pairs and predicted_classification(part, I, J, True):
                 pairs.append((I, J))
     return pairs
 
@@ -427,44 +426,19 @@ def order4_hit_triples(sys: CyclotomicSystem, include_zero: bool) -> list[tuple[
     return hits
 
 
-def _t_fits(sys: CyclotomicSystem) -> tuple[QuadraticPartition, list[QuadraticPartition]]:
-    """The partition of sys.q and every t candidate that fits it: +1 and -1
-    when |t| = 1, None otherwise.  A candidate fits when the Corollary 1 and 2
-    lists of the conditions it gates reproduce the counted hit triples of
-    both zero variants."""
-    if sys.d != 4:
-        raise ValueError("order-4 calibration needs an order-4 system")
-    part = cyclotomy.quadratic_partitions(sys.q)
-    hits = {z: set(order4_hit_triples(sys, z)) for z in (False, True)}
-    candidates = [replace(part, t_signed=t)
-                  for t in ((1, -1) if part.y_abs == 1 else (None,))]
-    return part, [c for c in candidates
-                  if all(hits[z] == {trip for cond in matching_conditions(4, c)
-                                     for trip in corollary_triples(cond, z)}
-                         for z in hits)]
-
-
 def match_order4_conditions(sys: CyclotomicSystem) -> QuadraticPartition:
-    """The partition of sys.q with the one t sign that fits (lenient: with no
-    fit t_signed stays None, the expected state at primes with s != 1 and
-    |t| != 1)."""
-    part, fits = _t_fits(sys)
-    return fits[0] if len(fits) == 1 else part
-
-
-def calibrate_order4(sys: CyclotomicSystem) -> QuadraticPartition:
-    """Strict calibration at a gated prime (|t| = 1 or s = 1): exactly one t
-    candidate must fit, None counting as the candidate at s = 1 primes.
-    Anything else is a hard error; a gateless prime is a usage error."""
-    part, fits = _t_fits(sys)
-    if part.y_abs != 1 and part.x != 1:
-        raise ValueError(
-            f"q={sys.q} satisfies no order-4 condition (s={part.x}, |t|={part.y_abs})")
-    if len(fits) != 1:
-        raise ArithmeticError(
-            f"order-4 calibration at q={sys.q}: {len(fits)} t-sign candidates fit "
-            f"the hit triples")
-    return fits[0]
+    """The partition of sys.q with t = y_signed pinned by
+    cyclotomy.resolve_signs, checked against counting: in both zero variants
+    the Corollary 1 and 2 lists of the conditions it gates must be exactly the
+    counted hit triples, none at a gateless prime; else ArithmeticError."""
+    part = cyclotomy.resolve_signs(sys, cyclotomy.quadratic_partitions(sys.q))
+    names = matching_conditions(4, part)
+    for z in (False, True):
+        if set(order4_hit_triples(sys, z)) != {trip for cond in names
+                                               for trip in corollary_triples(cond, z)}:
+            raise ArithmeticError(f"order-4 calibration at q={sys.q}: the lists gated by s="
+                                  f"{part.x}, t={part.y_signed} are not the hits (zero={z})")
+    return part
 
 
 def calibrate_order12(sys: CyclotomicSystem) -> QuadraticPartition:
@@ -474,12 +448,13 @@ def calibrate_order12(sys: CyclotomicSystem) -> QuadraticPartition:
 
 def calibrated_system(q: int, order: int) -> tuple[CyclotomicSystem, QuadraticPartition]:
     """The order-4 or order-12 class system at q and its calibrated partition,
-    built once for every condition verified there: (sys, calibrate_order4(sys))
-    or (sys, calibrate_order12(sys)).
+    built once for every condition verified there:
+    (sys, match_order4_conditions(sys)) or (sys, calibrate_order12(sys)).
 
     The one q check of verify, for auto and every named condition alike: q
     must be a supported prime, then q = 5 (mod 8) at order 4 and q = 12f + 1
-    with f odd at order 12."""
+    with f odd at order 12.  An order-4 prime must satisfy some condition
+    (s = 1 or |t| = 1)."""
     if order not in (4, 12):
         raise ValueError("order must be 4 or 12")
     check_prime_modulus(q)
@@ -488,7 +463,13 @@ def calibrated_system(q: int, order: int) -> tuple[CyclotomicSystem, QuadraticPa
     if order == 12 and q % 24 != 13:
         raise ValueError(f"q={q} is not 12f+1 with f odd")
     sys = cyclotomy.build_classes(q, order)
-    return sys, calibrate_order4(sys) if order == 4 else calibrate_order12(sys)
+    if order == 12:
+        return sys, calibrate_order12(sys)
+    part = match_order4_conditions(sys)
+    if not matching_conditions(4, part):
+        raise ValueError(
+            f"q={q} satisfies no order-4 condition (s={part.x}, |t|={part.y_abs})")
+    return sys, part
 
 
 def gates(order: int, part: QuadraticPartition) -> dict[str, bool]:
@@ -497,7 +478,7 @@ def gates(order: int, part: QuadraticPartition) -> dict[str, bool]:
     if order == 12:
         return {"x1": part.x == 1, "y1": part.y_signed == 1, "ym1": part.y_signed == -1}
     if order == 4:
-        return {"s1": part.x == 1, "t1": part.t_signed == 1, "tm1": part.t_signed == -1}
+        return {"s1": part.x == 1, "t1": part.y_signed == 1, "tm1": part.y_signed == -1}
     raise ValueError("conditions exist for orders 4 and 12 only")
 
 
@@ -518,7 +499,7 @@ class FamilyReport:
     q: int
     order: int
     condition: str
-    calibrated_sign: int | None
+    calibrated_sign: int
     recipes: list[dict] = field(default_factory=list)
 
     @property
@@ -555,7 +536,7 @@ def verify_family(q: int, order: int, condition: str,
     variants = (False, True) if include_zero is None else (include_zero,)
     sys, part = calibrated or calibrated_system(q, order)
     report = FamilyReport(q=q, order=order, condition=condition,
-                          calibrated_sign=part.t_signed if order == 4 else part.y_signed)
+                          calibrated_sign=part.y_signed)
     for z in variants:
         target = theorem_parameters(q, z)
         if order == 4:
@@ -573,6 +554,6 @@ def verify_family(q: int, order: int, condition: str,
                    "pass": cls.parameters == target}
             if order == 12:
                 rec["predicted_matches_counts"] = \
-                    predicted_spectrum(q, part, r.I, r.J, z) == spec.histogram
+                    predicted_spectrum(part, r.I, r.J, z) == spec.histogram
             report.recipes.append(rec)
     return report

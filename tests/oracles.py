@@ -9,7 +9,8 @@ tallies every member difference b - a, the count that
 adsets.difference_function makes shift by shift over bool windows.
 overlap_y_sign and m1_b_sign fit the order-12 signs of y and B to the
 counted table, the way the package did before it pinned them by congruence
-(cyclotomy.resolve_signs).
+(cyclotomy.resolve_signs).  cubic_residue_02_check is one order-12 identity
+with side conditions, a single row of the case-1 coefficient matrix.
 """
 
 from dataclasses import replace
@@ -96,3 +97,26 @@ def m1_b_sign(sys: CyclotomicSystem, part: QuadraticPartition) -> int:
     if len(fits) != 1:
         raise ArithmeticError(f"{len(fits)} B signs reproduce the table at q={sys.q}")
     return fits[0]
+
+
+def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition):
+    """Side-condition identity 144*(0,2)_12 = q + 1 - 2A + 24B - 12x.
+
+    Applies when 2 is a cubic residue, 3 is a biquadratic residue, and f is
+    odd; B's sign is not pinned by the identity, so both are tried.  Returns
+    None when the side conditions fail, else the set of B signs (+1/-1/0)
+    satisfying the identity exactly.  Refuses a system of order other than 12.
+    """
+    if sys.d != 12:
+        raise ValueError("the (0,2)_12 identity requires order 12")
+    if sys.f % 2 == 0:
+        return None
+    if sys.index(2) % 3 != 0 or sys.index(3) % 4 != 0:
+        return None
+    target = 144 * int(sys.table[0, 2])
+    signs = set()
+    cands = {part.B_abs, -part.B_abs}
+    for b in cands:
+        if part.q + 1 - 2 * part.A + 24 * b - 12 * part.x == target:
+            signs.add(0 if part.B_abs == 0 else (1 if b > 0 else -1))
+    return signs

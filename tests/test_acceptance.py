@@ -213,7 +213,7 @@ def test_criterion_5_order12_theorems():
             rep = dhm.verify_family(q, 12, "x1", include_zero=True)
             ok &= rep.all_pass
         else:
-            predicted = set(dhm.zero_slot_pairs(q, part))
+            predicted = set(dhm.zero_slot_pairs(part))
             target = dhm.theorem_parameters(q, True)
             seen_unordered = set()
             relevant = [p for c in ("y1a", "y1b", "ym1a", "ym1b")
@@ -236,7 +236,7 @@ def test_criterion_5_order12_theorems():
             hits = {(frozenset(h.I), frozenset(h.J))
                     for h in search.exhaustive_search(q, 12, include_zero)}
             if include_zero:
-                expected_family = (set(dhm.zero_slot_pairs(q, part))
+                expected_family = (set(dhm.zero_slot_pairs(part))
                                    if abs(part.y_signed) == 1 else set())
                 if part.x == 1:
                     expected_family |= set(dhm.theorem12_pairs("x1"))

@@ -72,6 +72,21 @@ def test_resolve_signs_calls_classify_case_once(monkeypatch):
     assert calls == [13]
 
 
+def test_order4_match_counts_each_variant_once(monkeypatch):
+    # perfbench/test_perfbench.py pins dhm.order4_hit_triples.calls on
+    # search-d4 at two per order-4 condition match
+    calls = []
+    original = dhm.order4_hit_triples
+
+    def counting(sys, include_zero):
+        calls.append(include_zero)
+        return original(sys, include_zero)
+
+    monkeypatch.setattr(dhm, "order4_hit_triples", counting)
+    dhm.match_order4_conditions(cyclotomy.build_classes(29, 4))
+    assert calls == [False, True]
+
+
 def test_c_parameter_calls_jacobi_sum_twice(monkeypatch):
     # perfbench/test_perfbench.py pins cyclotomy.jacobi_sum.calls on
     # cycnums-large at two per classify_case

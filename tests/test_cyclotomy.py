@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cyclodes import cyclotomy as cy
 from cyclodes import ff
-from oracles import m1_b_sign, overlap_y_sign
+from oracles import cubic_residue_02_check, m1_b_sign, overlap_y_sign
 
 
 def reduce_mod_phi12(poly):
@@ -354,6 +354,20 @@ def test_resolve_signs_q37():
     assert part.B_signed == 2
 
 
+def test_resolve_signs_pins_t_at_order4_as_y_at_order12():
+    # every f-odd order-12 prime is an f-odd order-4 prime, where the same
+    # root g**((q-1)/4) pins t = y; B belongs to order 12 alone
+    for q in (13, 37, 61, 109, 157):
+        part = cy.quadratic_partitions(q)
+        at4 = cy.resolve_signs(cy.build_classes(q, 4), part)
+        at12 = cy.resolve_signs(cy.build_classes(q, 12), part)
+        assert at4.y_signed == at12.y_signed, q
+        assert at4.B_signed is None and at12.B_signed is not None, q
+    for q, d in ((17, 4), (73, 12), (37, 6)):   # f even at 17 and 73, d = 6 at 37
+        with pytest.raises(ValueError, match="order 4 or 12 with f odd"):
+            cy.resolve_signs(cy.build_classes(q, d), cy.quadratic_partitions(q))
+
+
 def assert_congruence_signs_equal_the_fits(bound: int) -> tuple[int, int]:
     """At every f-odd order-12 prime below bound: exactly one sign meets each
     congruence of resolve_signs, and the signs it pins equal the fits to the
@@ -390,11 +404,11 @@ def test_cubic_residue_02_predicate():
     # conditions hold and some B sign satisfies the identity
     s = cy.build_classes(229, 12)
     part = cy.quadratic_partitions(229)
-    signs = cy.cubic_residue_02_check(s, part)
+    signs = cubic_residue_02_check(s, part)
     assert signs is not None and len(signs) >= 1
     # q=13: 2 is not a cubic residue (Ind(2) = 1), so the predicate is off
     s13 = cy.build_classes(13, 12, 2)
-    assert cy.cubic_residue_02_check(s13, cy.quadratic_partitions(13)) is None
+    assert cubic_residue_02_check(s13, cy.quadratic_partitions(13)) is None
 
 
 @pytest.mark.parametrize("d", [4, 6])
@@ -403,4 +417,4 @@ def test_cubic_residue_02_check_refuses_other_orders(d):
     # would read set() at d=4 and None at d=6
     s = cy.build_classes(229, d)
     with pytest.raises(ValueError, match="order 12"):
-        cy.cubic_residue_02_check(s, cy.quadratic_partitions(229))
+        cubic_residue_02_check(s, cy.quadratic_partitions(229))

@@ -217,14 +217,7 @@ def test_predicted_spectrum_matches_counts():
             for z in (False, True):
                 cset = dhm.build(s, dhm.Recipe(12, I, J, z))
                 spec = adsets.distance_spectrum(cset)
-                assert dhm.predicted_spectrum(q, part, I, J, z) == spec.histogram
-
-
-def test_predictions_reject_a_partition_of_another_prime():
-    part13 = dhm.calibrate_order12(cyclotomy.build_classes(13, 12, 2))
-    for predict in (dhm.predicted_spectrum, dhm.predicted_classification):
-        with pytest.raises(ValueError, match="partition of q = 13"):
-            predict(37, part13, SET_A, SET_E, False)
+                assert dhm.predicted_spectrum(part, I, J, z) == spec.histogram
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +226,10 @@ def test_predictions_reject_a_partition_of_another_prime():
 
 def reference_list_match(sys):
     """The list matching that fitted t before the gate table, kept as the
-    reference for the fit: each zero variant's hit set is matched to the one
-    condition list it equals, or (at q = 5) to the union of the s1 list and a
-    t list.  Returns the names matched without and with (0,0), and the t sign
-    when exactly one of t1, tm1 was matched."""
+    reference for the congruence sign: each zero variant's hit set is matched
+    to the one condition list it equals, or (at q = 5) to the union of the s1
+    list and a t list.  Returns the names matched without and with (0,0), and
+    the t sign when exactly one of t1, tm1 was matched."""
     matched = []
     for z, table in ((False, dhm.COROLLARY1_TRIPLES), (True, dhm.COROLLARY2_TRIPLES)):
         hit_set = set(dhm.order4_hit_triples(sys, z))
@@ -254,20 +247,19 @@ def reference_list_match(sys):
 
 
 def assert_fit_matches_list_matching(bound):
-    """At every prime q = 5 (mod 8) below bound the t fit gives the sign and
-    the condition names of the reference list matching; at gateless primes
-    the search hits nothing."""
+    """At every prime q = 5 (mod 8) below bound the congruence-pinned t gates
+    the condition names of the reference list matching, and has its sign at
+    |t| = 1; at gateless primes the search hits nothing."""
     for q in range(5, bound, 8):
         if not ff.is_prime(q):
             continue
         s = cyclotomy.build_classes(q, 4)
         part = dhm.match_order4_conditions(s)
         no_zero, with_zero, t_signed = reference_list_match(s)
-        assert part.t_signed == t_signed, q
+        assert t_signed == (part.y_signed if part.y_abs == 1 else None), q
         assert dhm.matching_conditions(4, part) == sorted(no_zero), q
         if part.y_abs == 1 or part.x == 1:
             assert no_zero and no_zero == with_zero, q
-            assert dhm.calibrate_order4(s) == part, q
         else:
             assert no_zero == with_zero == (), q
             assert dhm.order4_hit_triples(s, False) == [], q
@@ -286,54 +278,57 @@ def assert_gated_lists_are_the_hits(s, names):
 
 def test_calibrate_order4_q29():
     s = cyclotomy.build_classes(29, 4)
-    part = dhm.calibrate_order4(s)
+    part = dhm.match_order4_conditions(s)
     names = dhm.matching_conditions(4, part)
     assert names in (["t1"], ["tm1"])
     assert_gated_lists_are_the_hits(s, names)
-    assert part.t_signed in (1, -1)
+    assert part.y_signed in (1, -1)
 
 
 def test_calibrate_order4_q37_s1():
+    # s = 1, |t| = 3: t's sign gates nothing, but the congruence still pins it
     s = cyclotomy.build_classes(37, 4)
-    part = dhm.calibrate_order4(s)
+    part = dhm.match_order4_conditions(s)
     assert dhm.matching_conditions(4, part) == ["s1"]
     assert_gated_lists_are_the_hits(s, ["s1"])
-    assert part.t_signed is None
+    root = 2 * pow(s.g, (37 - 1) // 4, 37)
+    assert part.y_signed == cyclotomy.congruence_sign(part.x, part.y_abs, root, 37) == 3
 
 
 def test_calibrate_order4_q5_double_gate():
     # q=5 is the one prime with s = 1 and |t| = 1: the hit set is the union
     # of the s1 list and one t list
     s = cyclotomy.build_classes(5, 4)
-    part = dhm.calibrate_order4(s)
+    part = dhm.match_order4_conditions(s)
     names = dhm.matching_conditions(4, part)
     assert names[0] == "s1" and len(names) == 2
     assert_gated_lists_are_the_hits(s, names)
-    assert part.t_signed in (1, -1)
+    assert part.y_signed in (1, -1)
 
 
 def test_calibrate_order4_gateless_prime():
-    # 61 = 25 + 36: s = 5, |t| = 3, no condition applies
-    with pytest.raises(ValueError):
-        dhm.calibrate_order4(cyclotomy.build_classes(61, 4))
+    # 61 = 25 + 36: s = 5, |t| = 3, no condition applies, so verify refuses q
+    with pytest.raises(ValueError, match=r"q=61 .* \(s=5, \|t\|=3\)"):
+        dhm.calibrated_system(61, 4)
     s = cyclotomy.build_classes(61, 4)
-    lenient = dhm.match_order4_conditions(s)
-    assert dhm.matching_conditions(4, lenient) == []
+    part = dhm.match_order4_conditions(s)
+    assert dhm.matching_conditions(4, part) == []
+    assert abs(part.y_signed) == 3
     assert dhm.order4_hit_triples(s, False) == []
     assert dhm.order4_hit_triples(s, True) == []
 
 
 def test_calibrate_order4_needs_exactly_one_fit(monkeypatch):
-    # a hit set that no candidate's lists reproduce is a hard error
-    s = cyclotomy.build_classes(29, 4)
+    # hit triples that the gated lists do not reproduce are a hard error, at
+    # a gated prime and at a gateless one alike
     monkeypatch.setattr(dhm, "order4_hit_triples", lambda sys, z: [(0, 1, 2)])
-    with pytest.raises(ArithmeticError):
-        dhm.calibrate_order4(s)
-    assert dhm.match_order4_conditions(s).t_signed is None
+    for q in (29, 61):
+        with pytest.raises(ArithmeticError, match=f"q={q}"):
+            dhm.match_order4_conditions(cyclotomy.build_classes(q, 4))
 
 
 def test_gates_table():
-    part = cyclotomy.QuadraticPartition(q=5, x=1, y_abs=1, t_signed=-1)
+    part = cyclotomy.QuadraticPartition(q=5, x=1, y_abs=1, y_signed=-1)
     assert dhm.gates(4, part) == {"s1": True, "t1": False, "tm1": True}
     assert dhm.matching_conditions(4, part) == ["s1", "tm1"]
     part = cyclotomy.QuadraticPartition(q=13, x=-3, y_abs=1, y_signed=1)
@@ -394,7 +389,7 @@ def test_zero_slot_pairs_q13():
     s = cyclotomy.build_classes(13, 12, 2)
     part = dhm.calibrate_order12(s)
     pairs = {(dhm.SET_NAMES[I], dhm.SET_NAMES[J])
-             for I, J in dhm.zero_slot_pairs(13, part)}
+             for I, J in dhm.zero_slot_pairs(part)}
     assert pairs == {("A", "E"), ("B", "E"), ("C", "F"), ("D", "F"),
                      ("E", "C"), ("E", "D"), ("F", "A"), ("F", "B")}
 
@@ -402,7 +397,7 @@ def test_zero_slot_pairs_q13():
 def test_zero_slot_pairs_match_counts_q13():
     s = cyclotomy.build_classes(13, 12, 2)
     part = dhm.calibrate_order12(s)
-    predicted = set(dhm.zero_slot_pairs(13, part))
+    predicted = set(dhm.zero_slot_pairs(part))
     target = dhm.theorem_parameters(13, True)
     for cond in ("y1a", "y1b", "ym1a", "ym1b"):
         for (I, J) in dhm.theorem12_pairs(cond):
@@ -427,16 +422,15 @@ def test_theorem_parameters():
 
 
 def test_order4_t_sign_meets_the_order12_y_congruence():
-    """At every |t| = 1 prime q = 5 (mod 8) below 20,000 the fitted t is the
-    one sign with s = 2t * g**((q-1)/4) (mod q), the root that pins y at
-    order 12 (cyclotomy.resolve_signs)."""
+    """At every |t| = 1 prime q = 5 (mod 8) below 20,000 the t that the
+    reference list matching fits to the hit triples is the one sign with
+    s = 2t * g**((q-1)/4) (mod q), the root that pins y at order 12, and
+    that match_order4_conditions reads (cyclotomy.resolve_signs)."""
     checked = []
     for q in range(5, 20000, 8):
         if not ff.is_prime(q) or cyclotomy.quadratic_partitions(q).y_abs != 1:
             continue
         s = cyclotomy.build_classes(q, 4)
-        part = dhm.match_order4_conditions(s)
-        root = 2 * pow(s.g, (q - 1) // 4, q)
-        assert part.t_signed == cyclotomy.congruence_sign(part.x, part.y_abs, root, q), q
+        assert reference_list_match(s)[2] == dhm.match_order4_conditions(s).y_signed, q
         checked.append(q)
     assert len(checked) == 27

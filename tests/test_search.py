@@ -255,7 +255,7 @@ def test_zero_slot_rule_at_plus_y_prime():
     s = cyclotomy.build_classes(q, 12)
     part = dhm.calibrate_order12(s)
     assert part.y_signed == 1
-    predicted = {(frozenset(I), frozenset(J)) for I, J in dhm.zero_slot_pairs(q, part)}
+    predicted = {(frozenset(I), frozenset(J)) for I, J in dhm.zero_slot_pairs(part)}
     hits = {(frozenset(h.I), frozenset(h.J))
             for h in search.exhaustive_search(q, 12, True)}
     assert hits == predicted

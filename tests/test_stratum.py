@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cyclodes import cyclotomy, dhm, ff, search
 from cyclodes.adsets import CharacteristicSet, DifferenceSpectrum, classify, distance_spectrum
+from oracles import cubic_residue_02_check
 
 PRIMES = [q for q in range(3, 400) if ff.is_prime(q)]
 SWEEP_PRIMES = (13, 37, 229)
@@ -227,7 +228,7 @@ def test_predicted_spectrum_equals_stratum_spectrum():
                     cyclotomy.stratum_distance(rows, A, B, h), (q, sorted(A), sorted(B), h)
         for I, J in pairs:
             for include_zero in (False, True):
-                assert dhm.predicted_spectrum(q, part, I, J, include_zero) == \
+                assert dhm.predicted_spectrum(part, I, J, include_zero) == \
                     cyclotomy.stratum_spectrum(classes(q, 12), I, J, include_zero), \
                     (q, sorted(I), sorted(J), include_zero)
                 cases += 1
@@ -310,6 +311,6 @@ def test_order12_readers_share_one_table(monkeypatch):
     calls = count_tables(monkeypatch)
     sys = cyclotomy.build_classes(229, 12)
     part = cyclotomy.resolve_signs(sys, cyclotomy.quadratic_partitions(229))
-    assert cyclotomy.cubic_residue_02_check(sys, part)
+    assert cubic_residue_02_check(sys, part)
     assert sys.table.sum() == 229 - 2
     assert calls == [(229, 12)]
