@@ -194,7 +194,8 @@ def cmd_search(args) -> int:
     csv_path = Path(args.report_dir) / f"family_report_d{args.d}.csv"
     csv_path.write_text(report.family_csv())
     summary = {"d": args.d, "include_zero": args.include_zero,
-               "primes": report.primes, "n_hits": len(report.hits),
+               "n_primes": len(report.primes), "first_prime": report.primes[0],
+               "last_prime": report.primes[-1], "n_hits": len(report.hits),
                "n_families": len(report.families),
                "n_sporadic_shapes": len(report.sporadic)}
     print(f"family report written to {csv_path}", file=sys.stderr)

@@ -5,11 +5,14 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
 
   * D_i = {g**(k*d + i) : 0 <= k < f} is the i-th cyclotomic class of order d,
     i.e. a lands in class Ind(a) mod d.  The classes partition GF(q)*.
+    build_classes labels them by one scatter of the labels 0 .. d-1, f times
+    over, through the power sequence g**0 .. g**(q-2), into the narrowest
+    signed dtype that holds -d; the dense index table is not needed.
   * The cyclotomic number (m,n)_d = |(D_m + 1) & D_n| is always computed here
     by one exact count over GF(q)* (count a with a in D_m, a+1 in D_n), a
-    single bincount of the class pairs kept as a read-only (d, d) int64 array,
-    table[m, n] = (m,n)_d; the closed-form coefficient matrix below is a
-    cross-check, never the source of truth.
+    bincount of the class pairs, block by block, kept as a read-only (d, d)
+    int64 array, table[m, n] = (m,n)_d; the closed-form coefficient matrix
+    below is a cross-check, never the source of truth.
   * assemble_strata is the one layout of a product set's 2d + 1 difference
     strata: stratum_spectrum fills it from the table's class sums,
     dhm.predicted_spectrum from the paper's closed forms.
@@ -46,6 +49,11 @@ from .ff import IndexTable, build_index_table, check_prime_modulus, find_primiti
 # limit, where d = q - 1 near q = 2**20 would ask for 8 TiB.
 TABLE_D_LIMIT = 1 << 10
 
+# Pair codes are counted this many at a time: a 512 KB block of intp codes
+# is reused from block to block, where one q-long array would be fresh
+# memory, page-faulted in, at every prime near 2**20.
+CODE_BLOCK = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # cyclotomic classes and numbers
@@ -55,8 +63,12 @@ TABLE_D_LIMIT = 1 << 10
 class CyclotomicSystem:
     """Order-d class structure of GF(q)* for a fixed primitive root g.
 
-    class_of is a read-only int64 array: class_of[a] = Ind(a) mod d for a in
-    [1, q-1]; class_of[0] is -1 (unused).  Element reads return Python ints.
+    class_of is a read-only array: class_of[a] = Ind(a) mod d for a in
+    [1, q-1]; class_of[0] is -1 (unused).  Its dtype is the narrowest signed
+    one that holds -d: int8 up to d = 128, int16 up to 32768, int32 above
+    (only at small f).  Element reads return Python ints.  index holds the
+    power sequence the classes were scattered from; its dense table
+    index.ind is built only if something reads it.
     """
 
     q: int
@@ -107,8 +119,12 @@ def build_classes(q: int, d: int, g: int | None = None) -> CyclotomicSystem:
     if g is None:
         g = find_primitive_root(q)
     index = build_index_table(q, g)
-    class_of = index.ind % d
+    # g**k lies in class k mod d, and d | q - 1, so the labels 0 .. d-1
+    # repeated f times follow the power sequence exactly.
+    dtype = np.min_scalar_type(-d)
+    class_of = np.empty(q, dtype)
     class_of[0] = -1
+    class_of[index.powers] = np.tile(np.arange(d, dtype=dtype), (q - 1) // d)
     class_of.flags.writeable = False
     return CyclotomicSystem(q=q, d=d, f=(q - 1) // d, g=g, index=index,
                             class_of=class_of)
@@ -116,15 +132,23 @@ def build_classes(q: int, d: int, g: int | None = None) -> CyclotomicSystem:
 
 def cyclotomic_numbers(sys: CyclotomicSystem) -> np.ndarray:
     """All (m,n)_d in one count: each a not in {0, -1} adds one to the pair
-    (class of a, class of a + 1), a bincount of the codes cls[a]*d + cls[a+1],
-    returned as a read-only (d, d) int64 array."""
+    (class of a, class of a + 1), a bincount of the intp codes
+    cls[a]*d + cls[a+1], CODE_BLOCK codes at a time, returned as a
+    read-only (d, d) int64 array."""
     d, q, cls = sys.d, sys.q, sys.class_of
     if d > TABLE_D_LIMIT:
         raise ValueError(f"d={d} is too large for the (m,n)_d table: "
                          "d must be at most 2**10")
-    pairs = cls[1:q - 1] * d
-    pairs += cls[2:q]
-    counts = np.bincount(pairs, minlength=d * d).astype(np.int64, copy=False)
+    counts = np.zeros(d * d, dtype=np.int64)
+    for start in range(1, q - 1, CODE_BLOCK):
+        stop = min(start + CODE_BLOCK, q - 1)
+        # Widened first: the codes run to d*d - 1, and a product in the
+        # narrow class dtype would wrap.  intp is what bincount reads
+        # without a copy.
+        codes = cls[start:stop].astype(np.intp)
+        codes *= d
+        codes += cls[start + 1:stop + 1]
+        counts += np.bincount(codes, minlength=d * d)
     # read-only before the reshape, so the (d, d) view's base is read-only too
     counts.flags.writeable = False
     return counts.reshape(d, d)
@@ -339,7 +363,9 @@ _CASE_TABLE = {
 
 @dataclass(frozen=True)
 class CaseClassification:
-    """Residues of M = Ind(2), M' = Ind(3) plus the c root-of-unity exponent.
+    """Residues M = Ind(2) mod 12 and M_prime = Ind(3) mod 12, plus the c
+    root-of-unity exponent.  The case table reads only M mod 6 and M_prime
+    mod 4, so the residues, read off the class array, are all it needs.
 
     case_number is 1..6 per the classical six-way split for f odd, or the
     string OUTSIDE_TABLE for combinations the split does not cover (with the
@@ -359,8 +385,8 @@ def classify_case(sys: CyclotomicSystem) -> CaseClassification:
         raise ValueError("case classification requires order 12")
     if sys.f % 2 == 0:
         raise ValueError("case classification requires f odd")
-    M = sys.index(2)
-    Mp = sys.index(3)
+    M = sys.klass(2)
+    Mp = sys.klass(3)
     k = c_parameter(sys)
     case = _CASE_TABLE.get((Mp % 4, M % 6, k), OUTSIDE_TABLE)
     return CaseClassification(q=sys.q, M=M, M_prime=Mp, c_index=k,

@@ -2,7 +2,9 @@
 
 Conventions used throughout the package:
   * q is an odd prime, q >= 3, q < 2**20.  Prime powers are not supported;
-    every table is a dense, read-only int64 numpy array indexed by residue.
+    every table is a dense, read-only numpy array.  The power sequence
+    g**0 .. g**(q-2) is built first; the int64 index table, indexed by
+    residue, is scattered from it only when something reads it.
   * The canonical primitive root of q is the *smallest* integer g >= 2 of
     multiplicative order q-1.  Fixing g makes every downstream object
     (cyclotomic classes, sign calibrations, search reports) deterministic.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,14 +99,26 @@ def find_primitive_root(q: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class IndexTable:
-    """Dense discrete-log table: ind[a] = Ind(a) for a in [1, q-1]; ind[0] = 0, unused.
+    """The powers of a primitive root g of q, and the discrete logs they give.
 
-    ind is a read-only int64 array; the call reads one index as a Python int.
+    powers is a read-only int64 array of length q - 1, powers[k] = g**k mod q.
+    ind, ind[a] = Ind(a) for a in [1, q-1] and ind[0] = 0 (unused), is the
+    inverse permutation: a read-only int64 array scattered from powers the
+    first time it is read, so a caller that only needs the powers (the
+    cyclotomic classes) never builds it.  The call reads one index as a
+    Python int.
     """
 
     q: int
     g: int
-    ind: np.ndarray
+    powers: np.ndarray
+
+    @cached_property
+    def ind(self) -> np.ndarray:
+        ind = np.zeros(self.q, dtype=np.int64)
+        ind[self.powers] = np.arange(self.q - 1, dtype=np.int64)
+        ind.flags.writeable = False
+        return ind
 
     def __call__(self, a: int) -> int:
         a %= self.q
@@ -113,7 +128,7 @@ class IndexTable:
 
 
 def build_index_table(q: int, g: int) -> IndexTable:
-    """Index table for primitive root g of q; rejects non-generators.
+    """Power sequence of primitive root g of q; rejects non-generators.
 
     The powers g**0 .. g**(q-2) are laid out row by row in a block matrix of
     width = isqrt(q - 1) columns: entry (r, c) is g**(r*width) * g**c mod q,
@@ -135,7 +150,6 @@ def build_index_table(q: int, g: int) -> IndexTable:
         row.append(row[-1] * step % q)
     powers = np.outer(np.array(row, dtype=np.int64), np.array(col, dtype=np.int64))
     powers %= q
-    ind = np.zeros(q, dtype=np.int64)
-    ind[powers.ravel()[:n]] = np.arange(n, dtype=np.int64)
-    ind.flags.writeable = False
-    return IndexTable(q=q, g=g, ind=ind)
+    powers = powers.ravel()[:n]
+    powers.flags.writeable = False
+    return IndexTable(q=q, g=g, powers=powers)

@@ -298,6 +298,17 @@ def test_search_d4(tmp_path, capsys):
     assert csv_path.read_text().startswith("shape_id,condition,")
 
 
+def test_search_summary_counts_the_primes_instead_of_listing_them(tmp_path, capsys):
+    code, _, err = run(capsys, "search", "--d", "4", "--bound", "40",
+                       "--report-dir", str(tmp_path))
+    assert code == 0
+    note, summary = err.splitlines()
+    assert note == f"family report written to {tmp_path / 'family_report_d4.csv'}"
+    assert json.loads(summary) == {"d": 4, "include_zero": False, "n_primes": 4,
+                                   "first_prime": 5, "last_prime": 37, "n_hits": 40,
+                                   "n_families": 4, "n_sporadic_shapes": 0}
+
+
 def test_search_determinism_across_workers(tmp_path, capsys):
     outputs = []
     for workers, sub in (("1", "a"), ("8", "b")):

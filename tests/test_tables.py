@@ -1,13 +1,17 @@
-"""The O(q) table layer: index, class and cyclotomic-number tables built as
-int64 arrays, held against plain pure-Python loops.
+"""The O(q) table layer: the power sequence, the dense index table, the
+narrow class array and the cyclotomic-number table, held against plain
+pure-Python loops and against each other.
 
 The loops below are the reference: one multiplication per power of g for the
 index table, one residue per element for the classes, and one count per
-element for the (m,n)_d table.  Every scalar the public accessors hand out,
-and every value the CLI serialises, is a Python int.
+element for the (m,n)_d table.  The class array is scattered from the power
+sequence without the dense index table, so it is also held against that
+table, built on demand, reduced mod d.  Every scalar the public accessors
+hand out, and every value the CLI serialises, is a Python int.
 """
 
 import hashlib
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -59,14 +63,15 @@ def loop_union(class_of, indices, d):
 def test_array_tables_equal_loops(q, data):
     g = ff.find_primitive_root(q)
     t = ff.build_index_table(q, g)
-    assert t.ind.dtype == np.int64 and t.ind[0] == 0
+    assert t.powers.dtype == t.ind.dtype == np.int64 and t.ind[0] == 0
+    assert t.powers.tolist() == [pow(g, k, q) for k in range(q - 1)]
     assert all(t.ind[pow(g, k, q)] == k for k in range(q - 1))
     ind = loop_index(q, g)
     assert t.ind.tolist() == ind
     for d in (d for d in range(1, 13) if (q - 1) % d == 0):
         s = cyclotomy.build_classes(q, d, g)
         class_of = loop_classes(ind, d)
-        assert s.class_of.dtype == np.int64
+        assert s.class_of.dtype == np.int8
         assert s.class_of.tolist() == class_of
         for i in range(d):
             members = [a for a in range(1, q) if class_of[a] == i]
@@ -93,10 +98,84 @@ def test_tables_exact_at_the_top_of_the_domain():
     assert s.table.tolist() == loop_counts(loop_classes(ind, 12), 12)
 
 
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_counts_exact_when_the_last_code_block_holds_one_pair(blocks):
+    q = blocks * cyclotomy.CODE_BLOCK + 3     # q - 2 codes: 65,539 and 262,147
+    assert ff.is_prime(q)
+    g = ff.find_primitive_root(q)
+    ind = loop_index(q, g)
+    for d in (d for d in range(1, 13) if (q - 1) % d == 0):
+        s = cyclotomy.build_classes(q, d, g)
+        assert s.table.tolist() == loop_counts(loop_classes(ind, d), d), (q, d)
+
+
+def next_prime(n):
+    while not ff.is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(3, TOP_PRIME).map(next_prime))
+def test_classes_equal_the_dense_index_table_mod_d(q):
+    g = ff.find_primitive_root(q)
+    ind = ff.build_index_table(q, g).ind
+    for d in (d for d in range(1, 13) if (q - 1) % d == 0):
+        s = cyclotomy.build_classes(q, d, g)
+        assert s.class_of[0] == -1
+        assert np.array_equal(s.class_of[1:], ind[1:] % d), (q, d)
+
+
+@pytest.mark.parametrize("q, d, dtype", [
+    (257, 128, np.int8),         # the widest order that int8 holds
+    (257, 256, np.int16),
+    (65537, 65536, np.int32),    # f = 1
+    (TOP_PRIME, 12, np.int8),
+])
+def test_class_dtype_is_the_narrowest_that_holds_minus_d(q, d, dtype):
+    s = cyclotomy.build_classes(q, d)
+    assert s.class_of.dtype == dtype
+    assert s.class_of[0] == -1
+    assert np.array_equal(s.class_of[1:], s.index.ind[1:] % d)
+
+
+def test_the_class_path_never_builds_the_dense_index_table():
+    s = cyclotomy.build_classes(13, 12)
+    assert "ind" not in vars(s.index)
+    s.table
+    cyclotomy.resolve_signs(s, cyclotomy.quadratic_partitions(13))
+    assert "ind" not in vars(s.index)
+    assert s.index(3) == 4 and "ind" in vars(s.index)     # built on demand
+
+
+def test_case_residues_equal_the_dense_index_mod_12():
+    for q in range(13, 5000, 24):
+        if not ff.is_prime(q):
+            continue
+        s = cyclotomy.build_classes(q, 12)
+        case = cyclotomy.classify_case(s)
+        assert "ind" not in vars(s.index)
+        assert (case.M, case.M_prime) == (s.index(2) % 12, s.index(3) % 12), q
+
+
+def test_tables_at_the_top_of_the_domain_stay_below_15_mb():
+    # The peak, 10.5 MB, is the int64 power sequence (8.4 MB) beside the
+    # int8 label tile and classes; the pair codes are counted in blocks.
+    # One more int64 array of length q on the build path, such as the dense
+    # index table, crosses the bound.
+    tracemalloc.start()
+    try:
+        cyclotomy.build_classes(TOP_PRIME, 12).table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6, peak
+
+
 def test_tables_are_read_only():
     s = cyclotomy.build_classes(37, 12)
     assert s.table.dtype == np.int64 and s.table.shape == (12, 12)
-    for array in (s.class_of, s.index.ind, s.table):
+    for array in (s.class_of, s.index.powers, s.index.ind, s.table):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[1] = 0
