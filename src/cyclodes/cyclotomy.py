@@ -1,5 +1,6 @@
-"""Cyclotomic classes, exact cyclotomic numbers, Jacobi sums, and the order-12
-reference data (equality table and case-1 coefficient matrix).
+"""Cyclotomic classes, exact cyclotomic numbers, Jacobi sums, the order-12
+reference data (equality table and case-1 coefficient matrix), and the
+classical order-4 numbers.
 
 Definitions, for q = d*f + 1 prime and g the fixed primitive root:
 
@@ -14,8 +15,9 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
     int64 array, table[m, n] = (m,n)_d; the closed-form coefficient matrix
     below is a cross-check, never the source of truth.
   * assemble_strata is the one layout of a product set's 2d + 1 difference
-    strata: stratum_spectrum fills it from the table's class sums,
-    dhm.predicted_spectrum from the paper's closed forms.
+    strata, filled from a table's class sums (stratum_distance):
+    stratum_spectrum reads the counted table, dhm.predicted_spectrum the
+    classical order-4 numbers (order4_numbers) of the lifted index sets.
   * Jacobi sums live in the ring Z[beta], beta = exp(2*pi*1j/12).  Each is
     the 4-tuple of integers (c0, c1, c2, c3) on the integral basis
     {1, beta, beta**2, beta**3}; the only product needed is by beta, which
@@ -67,8 +69,7 @@ class CyclotomicSystem:
     [1, q-1]; class_of[0] is -1 (unused).  Its dtype is the narrowest signed
     one that holds -d: int8 up to d = 128, int16 up to 32768, int32 above
     (only at small f).  Element reads return Python ints.  index holds the
-    power sequence the classes were scattered from; its dense table
-    index.ind is built only if something reads it.
+    power sequence the classes were scattered from.
     """
 
     q: int
@@ -84,12 +85,9 @@ class CyclotomicSystem:
             raise ValueError("0 belongs to no cyclotomic class")
         return int(self.class_of[a])
 
-    def class_members(self, i: int) -> list[int]:
-        return np.flatnonzero(self.class_of == i % self.d).tolist()
-
     def members_by_class(self) -> list[list[int]]:
-        """class_members(i) for every i in [0, d), from one stable sort of
-        class_of, so the cost does not grow with d."""
+        """The members of D_i, ascending, for every i in [0, d), from one
+        stable sort of class_of, so the cost does not grow with d."""
         order = np.argsort(self.class_of[1:], kind="stable") + 1
         return order.reshape(self.d, self.f).tolist()
 
@@ -186,11 +184,11 @@ def zero_term(I, h: int, d: int, minus_one_class: int) -> int:
     return ((-h) % d in idx) + ((minus_one_class - h) % d in idx)
 
 
-def assemble_strata(distance, data, d: int, f: int, minus_one_class: int, I, J,
+def assemble_strata(rows: list[list[int]], d: int, f: int, minus_one_class: int, I, J,
                     include_zero: bool) -> dict[int, int]:
     """Difference histogram of {0} x D_I u {1} x D_J in Z2 x Zq, (0,0)
-    adjoined when include_zero is set, from distance(data, A, B, h) =
-    d_{A,B}(w) for w**-1 in D_h (A, B frozensets of residues mod d).
+    adjoined when include_zero is set, from the order-d table rows
+    (rows[m][n] = (m,n)_d) through stratum_distance.
 
     The difference function is constant on 2d + 1 strata: for each h the f
     shifts (0, w), worth d_{I,I} + d_{J,J}, and the f shifts (1, w), worth
@@ -201,8 +199,8 @@ def assemble_strata(distance, data, d: int, f: int, minus_one_class: int, I, J,
     J = frozenset({j % d for j in J})
     hist: dict[int, int] = {}
     for h in range(d):
-        v0 = distance(data, I, I, h) + distance(data, J, J, h)
-        v1 = distance(data, I, J, h) + distance(data, J, I, h)
+        v0 = stratum_distance(rows, I, I, h) + stratum_distance(rows, J, J, h)
+        v1 = stratum_distance(rows, I, J, h) + stratum_distance(rows, J, I, h)
         if include_zero:
             v0 += zero_term(I, h, d, minus_one_class)
             v1 += zero_term(J, h, d, minus_one_class)
@@ -215,13 +213,12 @@ def assemble_strata(distance, data, d: int, f: int, minus_one_class: int, I, J,
 
 def stratum_spectrum(sys: CyclotomicSystem, I, J,
                      include_zero: bool) -> dict[int, int]:
-    """assemble_strata from the (m,n)_d table's class sums (stratum_distance),
-    for any d | q-1 and any I, J: the scalar reference for dhm.hit_pairs and
-    the closed forms.  Equals adsets.distance_spectrum(...).histogram, the
-    direct-count oracle.
+    """assemble_strata of the counted (m,n)_d table, for any d | q-1 and any
+    I, J: the scalar reference for dhm.hit_pairs and the closed forms.
+    Equals adsets.distance_spectrum(...).histogram, the direct-count oracle.
     """
-    return assemble_strata(stratum_distance, sys.table.tolist(), sys.d, sys.f,
-                           sys.minus_one_class, I, J, include_zero)
+    return assemble_strata(sys.table.tolist(), sys.d, sys.f, sys.minus_one_class,
+                           I, J, include_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +495,17 @@ def m1_predicted(q: int, part: QuadraticPartition) -> dict[str, int]:
     if part.y_signed is None or part.B_signed is None:
         raise ValueError("m1_predicted needs resolved y and B signs")
     vec = (q, part.A, part.B_signed, part.x, part.y_signed, 1)
-    out = {}
-    for label, row in M1_MATRIX.items():
-        num = sum(c * v for c, v in zip(row, vec))
-        if num % 144 != 0 or num < 0:
-            raise ArithmeticError(
-                f"144*({label}) = {num} not a nonnegative multiple of 144 at q={q}")
-        out[label] = num // 144
-    return out
+    return {label: _exact_cell(row, vec, 144, label, q) for label, row in M1_MATRIX.items()}
+
+
+def _exact_cell(row, vec, scale: int, label: str, q: int) -> int:
+    """row . vec / scale, which must be a nonnegative integer, else
+    ArithmeticError."""
+    num = sum(c * v for c, v in zip(row, vec))
+    if num % scale != 0 or num < 0:
+        raise ArithmeticError(
+            f"{scale}*({label}) = {num} not a nonnegative multiple of {scale} at q={q}")
+    return num // scale
 
 
 def brute_force_canonical(table: np.ndarray) -> dict[str, int]:
@@ -518,6 +518,42 @@ def brute_force_canonical(table: np.ndarray) -> dict[str, int]:
         h, k = label_to_pair(label)
         out[label] = rows[h][k]
     return out
+
+
+# ---------------------------------------------------------------------------
+# order-4 coefficient matrix: 16*(h,k)_4 = row . (q, s, t, 1), f odd
+# ---------------------------------------------------------------------------
+
+# The classical five values for q = 4f + 1, f odd (Storer, Cyclotomy and
+# Difference Sets, 1967), with s = x and t = y_signed as resolve_signs pins
+# it; ORDER4_MATRIX[h][k] is the row of (h,k)_4.
+_ORDER4_ROWS = {
+    "A": (1, 2, 0, -7),
+    "B": (1, 2, -8, 1),
+    "C": (1, -6, 0, 1),
+    "D": (1, 2, 8, 1),
+    "E": (1, -2, 0, -3),
+}
+
+ORDER4_MATRIX: tuple[tuple[tuple[int, int, int, int], ...], ...] = tuple(
+    tuple(_ORDER4_ROWS[v] for v in line) for line in ("ABCD", "EEDB", "AEAE", "EDBE"))
+
+
+def order4_numbers(part: QuadraticPartition) -> list[list[int]]:
+    """The 16 order-4 numbers at q = part.q = 5 (mod 8) from ORDER4_MATRIX,
+    as rows[h][k] = (h,k)_4, the layout of sys.table.tolist().
+
+    Needs x and y_signed resolved.  Every entry must come out a nonnegative
+    integer; a non-integral result means wrong partition or sign.
+    """
+    q = part.q
+    if part.x is None or part.y_signed is None:
+        raise ValueError("the order-4 numbers need s = x and a resolved t = y sign")
+    if q % 8 != 5:
+        raise ValueError(f"the order-4 matrix needs q = 5 (mod 8), not q={q}")
+    vec = (q, part.x, part.y_signed, 1)
+    return [[_exact_cell(row, vec, 16, f"{h},{k}", q) for k, row in enumerate(line)]
+            for h, line in enumerate(ORDER4_MATRIX)]
 
 
 # ---------------------------------------------------------------------------

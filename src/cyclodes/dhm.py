@@ -27,15 +27,19 @@ One gate table (gates) then says which conditions hold at q, for verify and
 search alike, and verify_family classifies every recipe by direct pair
 counting (adsets.distance_spectrum), the independent oracle.
 
-Closed forms: the restricted distances d_I(w), d_{I,J}(w) are piecewise
-constant on cyclotomic classes, with branches indexed by the class h of
-w**-1 (equivalently, the negated class of w).  Indexing by w's own class
-would transpose the odd-class branches {1,5,9} <-> {3,7,11}; the w**-1
-convention is the one that matches exact counts, verified at every
-validation prime.  predicted_distance is the one closed-form distance per
-stratum h: predicted_dI and predicted_dIJ read it at the h of their w, and
-predicted_spectrum hands it to cyclotomy.assemble_strata, the same strata
-layout stratum_spectrum fills from the table.
+Closed forms: the six named patterns are invariant under +4, each the
+preimage of a 2-subset of Z4, so D_A of order 12 is D_{A mod 4} of order 4.
+Every restricted distance d_{A,B}(w) is then the order-4 class sum of
+(i+h, j+h)_4 over i in A mod 4, j in B mod 4, with h the class of w**-1
+mod 4.  predicted_distance takes that sum with cyclotomy.stratum_distance
+over the classical order-4 numbers in (q, s, t) (cyclotomy.order4_numbers),
+and predicted_spectrum hands the same numbers to cyclotomy.assemble_strata at
+d = 4: predicted and counted spectra run through one code path and differ
+only in the table they read.  The w**-1 convention is stratum_distance's;
+indexing by w's own class would transpose the odd order-12 classes
+{1,5,9} <-> {3,7,11}.  An index set that is not +4-invariant raises
+ValueError.  The paper's five piecewise forms stay in the tests as the
+reference statement (tests/oracles.py, paper_distance).
 
 With (0,0) adjoined, the slot order of (I, J) matters whenever one of the
 index sets is a parity pattern ({0,2,...,10} or {1,3,...,11}): exactly one
@@ -278,85 +282,27 @@ def hit_pairs(sys: CyclotomicSystem,
 # closed-form restricted distances (order 12, f odd)
 # ---------------------------------------------------------------------------
 
-_ODD1 = frozenset({1, 5, 9})
-_ODD2 = frozenset({3, 7, 11})
-_EVEN1 = frozenset({0, 4, 8})
-_EVEN2 = frozenset({2, 6, 10})
-
-
-def _dA(q, x, y, e):
-    return (q - 2 * y - 3) // 4 if e % 2 == 0 else (q + 2 * y - 3) // 4
-
-
-def _dE(q, x, y, e):
-    return (q - 5) // 4 if e % 2 == 0 else (q - 1) // 4
-
-
-def _l4(q, x, y, e):
-    if e % 2 == 0:
-        return (q + x - 2) // 4
-    return (q - x - 4) // 4 if e in _ODD1 else (q - x) // 4
-
-
-def _l5(q, x, y, e):
-    if e in _EVEN1:
-        return (q - x - 2 * y - 2) // 4
-    if e in _EVEN2:
-        return (q + x + 2 * y - 4) // 4
-    return (q + x - 2 * y) // 4 if e in _ODD1 else (q - x + 2 * y - 2) // 4
-
-
-def _l6(q, x, y, e):
-    if e in _EVEN1:
-        return (q - x + 2 * y - 2) // 4
-    if e in _EVEN2:
-        return (q + x - 2 * y - 4) // 4
-    return (q + x + 2 * y) // 4 if e in _ODD2 else (q - x - 2 * y - 2) // 4
-
-
-# Representative pairs: every named (A, B) with A == B or |A & B| = 3 is a
-# rotation of one of them, or of one swapped.
-_FORMULAS = (
-    ((SET_A, SET_A), _dA),
-    ((SET_E, SET_E), _dE),
-    ((SET_A, SET_C), _l4),
-    ((SET_C, SET_E), _l5),
-    ((SET_A, SET_E), _l6),
-)
-
-
-def _shift(S: frozenset[int], t: int) -> frozenset[int]:
-    return frozenset((i + t) % 12 for i in S)
-
-
-@lru_cache(maxsize=None)
-def _formula(I: frozenset[int], J: frozenset[int]):
-    """Resolve (I, J) to (branch function, rotation t) via the representatives,
-    once per pair.
-
-    A swapped pair reuses its representative's function six classes on:
-    d_{J,I}(w) = d_{I,J}(-w), and -w lies in the class six past w's (f odd).
-    """
-    for (rI, rJ), func in _FORMULAS:
-        for t in range(12):
-            if I == _shift(rI, t) and J == _shift(rJ, t):
-                return func, t
-            if I == _shift(rJ, t) and J == _shift(rI, t):
-                return func, (t + 6) % 12
-    raise ValueError("pair outside the closed-form families")
+def _order4_image(S) -> frozenset[int]:
+    """S mod 4 for an order-12 index set S invariant under +4, the one kind
+    of set that is the preimage of its image: D_S is then D_{S mod 4} of
+    order 4.  Any other S raises ValueError, since the projection would price
+    a different set."""
+    S = frozenset(i % 12 for i in S)
+    if S != frozenset((i + 4) % 12 for i in S):
+        raise ValueError(f"{sorted(S)} is not invariant under +4, so it is no "
+                         "order-4 set and the closed forms do not apply")
+    return frozenset(i % 4 for i in S)
 
 
 def predicted_distance(part: QuadraticPartition, A: frozenset[int],
                        B: frozenset[int], h: int) -> int:
     """Closed-form d_{A,B}(w) = |(D_A + w) & D_B| on stratum h, every w with
-    w**-1 in D_h (order 12, f odd), for named patterns with A == B or
-    |A & B| = 3: the branch h + t of the representative pair's formula, t
-    the rotation aligning (A, B) with it.  Needs x and a calibrated y sign.
+    w**-1 in D_h (order 12, f odd), for +4-invariant A and B: the order-4
+    class sum cyclotomy.stratum_distance at h mod 4, over the classical
+    numbers cyclotomy.order4_numbers.  Needs x and a calibrated y sign.
     """
-    if part.y_signed is None or part.x is None:
-        raise ValueError("the closed forms need x and a calibrated y sign")
-    func, t = _formula(A, B)
-    return func(part.q, part.x, part.y_signed, (h + t) % 12)
+    return cyclotomy.stratum_distance(cyclotomy.order4_numbers(part), _order4_image(A),
+                                      _order4_image(B), h % 4)
 
 
 def predicted_dIJ(sys: CyclotomicSystem, I: frozenset[int], J: frozenset[int],
@@ -368,7 +314,7 @@ def predicted_dIJ(sys: CyclotomicSystem, I: frozenset[int], J: frozenset[int],
 
 def predicted_dI(sys: CyclotomicSystem, I: frozenset[int], w: int,
                  part: QuadraticPartition) -> int:
-    """Closed-form d_I(w) = d_{I,I}(w) for the six named patterns."""
+    """Closed-form d_I(w) = d_{I,I}(w) for a +4-invariant I."""
     return predicted_dIJ(sys, I, I, w, part)
 
 
@@ -376,9 +322,10 @@ def predicted_spectrum(part: QuadraticPartition, I: frozenset[int],
                        J: frozenset[int], include_zero: bool) -> dict[int, int]:
     """Predicted difference histogram of the (I, J) construction at q = part.q
     from the closed forms alone (no counting): cyclotomy.assemble_strata of
-    predicted_distance.  f is odd, so -1 lies in class 6."""
-    return cyclotomy.assemble_strata(predicted_distance, part, 12, (part.q - 1) // 12, 6,
-                                     I, J, include_zero)
+    the order-4 numbers at I mod 4, J mod 4, for +4-invariant I and J.  The
+    order-4 f = (q-1)/4 is odd, so -1 lies in class 2."""
+    return cyclotomy.assemble_strata(cyclotomy.order4_numbers(part), 4, (part.q - 1) // 4, 2,
+                                     _order4_image(I), _order4_image(J), include_zero)
 
 
 def predicted_classification(part: QuadraticPartition, I: frozenset[int],
@@ -472,14 +419,18 @@ def calibrated_system(q: int, order: int) -> tuple[CyclotomicSystem, QuadraticPa
     return sys, part
 
 
+# The gate names at each order for the same three tests on the calibrated
+# partition: x = 1, y = 1, y = -1 (the order-4 s and t are x and y).
+_GATE_NAMES = {12: ("x1", "y1", "ym1"), 4: ("s1", "t1", "tm1")}
+
+
 def gates(order: int, part: QuadraticPartition) -> dict[str, bool]:
     """Which side conditions the calibrated partition satisfies, by gate name:
     x = 1 and y = +-1 at order 12, s = 1 and t = +-1 at order 4."""
-    if order == 12:
-        return {"x1": part.x == 1, "y1": part.y_signed == 1, "ym1": part.y_signed == -1}
-    if order == 4:
-        return {"s1": part.x == 1, "t1": part.y_signed == 1, "tm1": part.y_signed == -1}
-    raise ValueError("conditions exist for orders 4 and 12 only")
+    if order not in _GATE_NAMES:
+        raise ValueError("conditions exist for orders 4 and 12 only")
+    return dict(zip(_GATE_NAMES[order],
+                    (part.x == 1, part.y_signed == 1, part.y_signed == -1)))
 
 
 def matching_conditions(order: int, part: QuadraticPartition) -> list[str]:

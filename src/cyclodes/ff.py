@@ -1,10 +1,11 @@
-"""Exact arithmetic in the prime field GF(q) and discrete-log (index) tables.
+"""Exact arithmetic in the prime field GF(q) and the power sequence of a
+primitive root.
 
 Conventions used throughout the package:
   * q is an odd prime, q >= 3, q < 2**20.  Prime powers are not supported;
     every table is a dense, read-only numpy array.  The power sequence
-    g**0 .. g**(q-2) is built first; the int64 index table, indexed by
-    residue, is scattered from it only when something reads it.
+    g**0 .. g**(q-2) is the one O(q) table here; the classes are scattered
+    from it, so no index table indexed by residue is built.
   * The canonical primitive root of q is the *smallest* integer g >= 2 of
     multiplicative order q-1.  Fixing g makes every downstream object
     (cyclotomic classes, sign calibrations, search reports) deterministic.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -99,32 +99,14 @@ def find_primitive_root(q: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class IndexTable:
-    """The powers of a primitive root g of q, and the discrete logs they give.
-
-    powers is a read-only int64 array of length q - 1, powers[k] = g**k mod q.
-    ind, ind[a] = Ind(a) for a in [1, q-1] and ind[0] = 0 (unused), is the
-    inverse permutation: a read-only int64 array scattered from powers the
-    first time it is read, so a caller that only needs the powers (the
-    cyclotomic classes) never builds it.  The call reads one index as a
-    Python int.
+    """The powers of a primitive root g of q: powers is a read-only int64
+    array of length q - 1, powers[k] = g**k mod q.  The classes are scattered
+    from it (cyclotomy.build_classes); no dense discrete-log table is kept.
     """
 
     q: int
     g: int
     powers: np.ndarray
-
-    @cached_property
-    def ind(self) -> np.ndarray:
-        ind = np.zeros(self.q, dtype=np.int64)
-        ind[self.powers] = np.arange(self.q - 1, dtype=np.int64)
-        ind.flags.writeable = False
-        return ind
-
-    def __call__(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise ValueError("Ind(0) is undefined")
-        return int(self.ind[a])
 
 
 def build_index_table(q: int, g: int) -> IndexTable:

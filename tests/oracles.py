@@ -11,15 +11,21 @@ overlap_y_sign and m1_b_sign fit the order-12 signs of y and B to the
 counted table, the way the package did before it pinned them by congruence
 (cyclotomy.resolve_signs).  cubic_residue_02_check is one order-12 identity
 with side conditions, a single row of the case-1 coefficient matrix.
+discrete_logs scatters the dense index table Ind from the power sequence,
+for the tests that read an index.  paper_distance is the paper's statement
+of the order-12 closed forms, five piecewise branch functions matched to a
+pair by rotation, against which dhm.predicted_distance is held.
 """
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
 from cyclodes.adsets import CharacteristicSet
 from cyclodes.cyclotomy import (CyclotomicSystem, QuadraticPartition, brute_force_canonical,
                                 m1_predicted, stratum_distance, zero_term)
+from cyclodes.ff import IndexTable
 
 
 def restricted_distance(set_a: frozenset[int], set_b: frozenset[int],
@@ -111,7 +117,8 @@ def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition):
         raise ValueError("the (0,2)_12 identity requires order 12")
     if sys.f % 2 == 0:
         return None
-    if sys.index(2) % 3 != 0 or sys.index(3) % 4 != 0:
+    ind = discrete_logs(sys.index)
+    if ind[2] % 3 != 0 or ind[3] % 4 != 0:
         return None
     target = 144 * int(sys.table[0, 2])
     signs = set()
@@ -120,3 +127,91 @@ def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition):
         if part.q + 1 - 2 * part.A + 24 * b - 12 * part.x == target:
             signs.add(0 if part.B_abs == 0 else (1 if b > 0 else -1))
     return signs
+
+
+def discrete_logs(index: IndexTable) -> np.ndarray:
+    """The int64 array ind[a] = Ind(a) for a in [1, q-1], ind[0] = 0
+    (unused): the inverse permutation of index.powers, one scatter."""
+    ind = np.zeros(index.q, dtype=np.int64)
+    ind[index.powers] = np.arange(index.q - 1, dtype=np.int64)
+    return ind
+
+
+# ---------------------------------------------------------------------------
+# the paper's order-12 closed forms (f odd), branch by branch
+# ---------------------------------------------------------------------------
+
+_ODD1 = frozenset({1, 5, 9})
+_ODD2 = frozenset({3, 7, 11})
+_EVEN1 = frozenset({0, 4, 8})
+_EVEN2 = frozenset({2, 6, 10})
+
+
+def _dA(q, x, y, e):
+    return (q - 2 * y - 3) // 4 if e % 2 == 0 else (q + 2 * y - 3) // 4
+
+
+def _dE(q, x, y, e):
+    return (q - 5) // 4 if e % 2 == 0 else (q - 1) // 4
+
+
+def _l4(q, x, y, e):
+    if e % 2 == 0:
+        return (q + x - 2) // 4
+    return (q - x - 4) // 4 if e in _ODD1 else (q - x) // 4
+
+
+def _l5(q, x, y, e):
+    if e in _EVEN1:
+        return (q - x - 2 * y - 2) // 4
+    if e in _EVEN2:
+        return (q + x + 2 * y - 4) // 4
+    return (q + x - 2 * y) // 4 if e in _ODD1 else (q - x + 2 * y - 2) // 4
+
+
+def _l6(q, x, y, e):
+    if e in _EVEN1:
+        return (q - x + 2 * y - 2) // 4
+    if e in _EVEN2:
+        return (q + x - 2 * y - 4) // 4
+    return (q + x + 2 * y) // 4 if e in _ODD2 else (q - x - 2 * y - 2) // 4
+
+
+# Representative pairs: every named (A, B) with A == B or |A & B| = 3 is a
+# rotation of one of them, or of one swapped.
+_FORMULAS = (
+    (({0, 1, 4, 5, 8, 9}, {0, 1, 4, 5, 8, 9}), _dA),
+    (({0, 2, 4, 6, 8, 10}, {0, 2, 4, 6, 8, 10}), _dE),
+    (({0, 1, 4, 5, 8, 9}, {0, 3, 4, 7, 8, 11}), _l4),
+    (({0, 3, 4, 7, 8, 11}, {0, 2, 4, 6, 8, 10}), _l5),
+    (({0, 1, 4, 5, 8, 9}, {0, 2, 4, 6, 8, 10}), _l6),
+)
+
+
+def _shift(S, t: int) -> frozenset[int]:
+    return frozenset((i + t) % 12 for i in S)
+
+
+@lru_cache(maxsize=None)
+def _formula(I: frozenset[int], J: frozenset[int]):
+    """(branch function, rotation t) of (I, J) via the representatives.
+
+    A swapped pair reuses its representative's function six classes on:
+    d_{J,I}(w) = d_{I,J}(-w), and -w lies in the class six past w's (f odd).
+    """
+    for (rI, rJ), func in _FORMULAS:
+        for t in range(12):
+            if I == _shift(rI, t) and J == _shift(rJ, t):
+                return func, t
+            if I == _shift(rJ, t) and J == _shift(rI, t):
+                return func, (t + 6) % 12
+    raise ValueError("pair outside the closed-form families")
+
+
+def paper_distance(part: QuadraticPartition, A: frozenset[int], B: frozenset[int],
+                   h: int) -> int:
+    """The paper's d_{A,B}(w) on stratum h (w**-1 in D_h, order 12, f odd) for
+    named patterns with A == B or |A & B| = 3: the branch h + t of the
+    representative pair's form, t the rotation aligning (A, B) with it."""
+    func, t = _formula(frozenset(A), frozenset(B))
+    return func(part.q, part.x, part.y_signed, (h + t) % 12)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cyclodes import cyclotomy as cy
 from cyclodes import ff
-from oracles import cubic_residue_02_check, m1_b_sign, overlap_y_sign
+from oracles import cubic_residue_02_check, discrete_logs, m1_b_sign, overlap_y_sign
 
 
 def reduce_mod_phi12(poly):
@@ -61,17 +61,17 @@ def test_classes_q13_d12_are_singletons():
     expected = {0: {1}, 1: {2}, 2: {4}, 3: {8}, 4: {3}, 5: {6},
                 6: {12}, 7: {11}, 8: {9}, 9: {5}, 10: {10}, 11: {7}}
     for i, members in expected.items():
-        assert set(s.class_members(i)) == members
+        assert set(s.members_by_class()[i]) == members
 
 
 def test_classes_q13_d2_quadratic_residues():
     s = cy.build_classes(13, 2, 2)
-    assert set(s.class_members(0)) == {1, 4, 9, 3, 12, 10}
+    assert set(s.members_by_class()[0]) == {1, 4, 9, 3, 12, 10}
 
 
 def test_classes_d1_full_group():
     s = cy.build_classes(13, 1, 2)
-    assert set(s.class_members(0)) == set(range(1, 13))
+    assert set(s.members_by_class()[0]) == set(range(1, 13))
 
 
 def test_classes_reject_bad_d():
@@ -82,7 +82,7 @@ def test_classes_reject_bad_d():
 def test_classes_partition_property():
     for q, d in ((37, 12), (61, 4), (29, 4), (41, 8)):
         s = cy.build_classes(q, d)
-        sizes = [len(s.class_members(i)) for i in range(d)]
+        sizes = [len(s.members_by_class()[i]) for i in range(d)]
         assert sizes == [s.f] * d
 
 
@@ -172,7 +172,7 @@ def test_jacobi_sum_value_q13():
 
 def direct_jacobi_sum(s, m, n):
     """The oracle: beta**(m*Ind(a) + n*Ind(1 - a)) summed over a in [2, q-1]."""
-    q, ind = s.q, s.index.ind.tolist()
+    q, ind = s.q, discrete_logs(s.index).tolist()
     weight = [0] * 12
     for a in range(2, q):
         weight[(m * ind[a] + n * ind[q + 1 - a]) % 12] += 1
@@ -219,7 +219,7 @@ def test_c_parameter_consistency_with_case():
 def direct_jacobi_sum_complex(s, m, n):
     """The direct a + b = 1 sum evaluated at beta = exp(i*pi/6) in floating
     point, sharing no arithmetic with Z[beta]."""
-    q, ind = s.q, s.index.ind.tolist()
+    q, ind = s.q, discrete_logs(s.index).tolist()
     return sum(cmath.exp(1j * cmath.pi * (m * ind[a] + n * ind[q + 1 - a]) / 6)
                for a in range(2, q))
 
@@ -344,6 +344,32 @@ def test_m1_requires_signs():
     part = cy.quadratic_partitions(13)
     with pytest.raises(ValueError):
         cy.m1_predicted(13, part)
+
+
+def test_order4_matrix_row_sums():
+    # sum_k 16*(h,k)_4 = 4(q-1) - 16*[h=2]: -1 lies in class 2 (f odd)
+    for h, line in enumerate(cy.ORDER4_MATRIX):
+        assert [sum(col) for col in zip(*line)] == [4, 0, 0, -4 - 16 * (h == 2)], h
+
+
+def test_order4_numbers_equal_counted_tables_below_5000():
+    # with t pinned by resolve_signs, the matrix is the counted d=4 table at
+    # every q = 5 (mod 8) prime below 5000
+    primes = [q for q in range(5, 5000, 8) if ff.is_prime(q)]
+    assert len(primes) == 168
+    for q in primes:
+        s = cy.build_classes(q, 4)
+        part = cy.resolve_signs(s, cy.quadratic_partitions(q))
+        assert cy.order4_numbers(part) == s.table.tolist(), q
+
+
+def test_order4_numbers_refuse_what_they_cannot_price():
+    with pytest.raises(ValueError):         # t's sign not resolved
+        cy.order4_numbers(cy.quadratic_partitions(13))
+    with pytest.raises(ValueError):         # q = 1 (mod 8): f even
+        cy.order4_numbers(cy.QuadraticPartition(q=17, x=1, y_abs=2, y_signed=2))
+    with pytest.raises(ArithmeticError, match="q=13"):    # 13 = 9 + 4, not 1 + 4
+        cy.order4_numbers(cy.QuadraticPartition(q=13, x=1, y_abs=1, y_signed=1))
 
 
 def test_resolve_signs_q37():

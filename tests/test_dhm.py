@@ -202,11 +202,22 @@ def test_predicted_dIJ_matches_counts_everywhere():
                     restricted_distance(DI, DJ, w, q), (q, I, J, w)
 
 
-def test_predicted_dIJ_rejects_outside_families():
-    s = cyclotomy.build_classes(13, 12, 2)
-    part = dhm.calibrate_order12(s)
-    with pytest.raises(ValueError):
-        dhm.predicted_dIJ(s, SET_A, SET_B, 1, part)   # |A & B| = 0
+def test_predicted_dIJ_matches_counts_at_every_named_pair():
+    # every named pattern is +4-invariant, so every ordered pair of them has
+    # a closed form, |A & B| = 0 included; a set that is not raises
+    for q in (13, 37):
+        s = cyclotomy.build_classes(q, 12)
+        part = dhm.calibrate_order12(s)
+        for I in dhm.NAMED_SETS.values():
+            for J in dhm.NAMED_SETS.values():
+                DI, DJ = s.union(I), s.union(J)
+                for w in range(1, q):
+                    assert dhm.predicted_dIJ(s, I, J, w, part) == \
+                        restricted_distance(DI, DJ, w, q), (q, I, J, w)
+        with pytest.raises(ValueError, match="not invariant under \\+4"):
+            dhm.predicted_dIJ(s, frozenset(range(6)), SET_A, 1, part)
+        with pytest.raises(ValueError, match="not invariant under \\+4"):
+            dhm.predicted_spectrum(part, SET_A, frozenset(range(6)), False)
 
 
 def test_predicted_spectrum_matches_counts():

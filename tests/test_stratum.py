@@ -1,6 +1,8 @@
 """Differential tests of the table-derived stratum spectrum against direct
 pair counting, the narrowed sweep against its full-grid reference, the
-order-12 sweep decisions and the y-sign calibration."""
+order-12 sweep decisions, the closed forms against the table and the
+paper's statement of them, the order-12 hits as lifts of order-4 hits, and
+the y-sign calibration."""
 
 import random
 from functools import lru_cache
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from cyclodes import cyclotomy, dhm, ff, search
 from cyclodes.adsets import CharacteristicSet, DifferenceSpectrum, classify, distance_spectrum
-from oracles import cubic_residue_02_check
+from oracles import cubic_residue_02_check, paper_distance
 
 PRIMES = [q for q in range(3, 400) if ff.is_prime(q)]
 SWEEP_PRIMES = (13, 37, 229)
@@ -233,6 +235,46 @@ def test_predicted_spectrum_equals_stratum_spectrum():
                     (q, sorted(I), sorted(J), include_zero)
                 cases += 1
     assert cases == 1056
+
+
+def test_paper_distance_equals_predicted_distance():
+    """The paper's five piecewise forms against the order-4 derivation, for
+    the 30 named (A, B) with A == B or |A & B| = 3 on every h, at every
+    order-12 f-odd prime below 1000."""
+    primes = [q for q in range(13, 1000, 24) if ff.is_prime(q)]
+    named = [(A, B) for A in dhm.NAMED_SETS.values() for B in dhm.NAMED_SETS.values()
+             if A == B or len(A & B) == 3]
+    assert len(primes) == 22 and len(named) == 30
+    for q in primes:
+        part = dhm.calibrate_order12(classes(q, 12))
+        for A, B in named:
+            for h in range(12):
+                assert paper_distance(part, A, B, h) == dhm.predicted_distance(part, A, B, h), \
+                    (q, sorted(A), sorted(B), h)
+
+
+def is_lift(S):
+    return {(i + 4) % 12 for i in S} == set(S)
+
+
+def test_order12_hits_past_f1_are_lifts_of_order4_hits():
+    """Every d=12 sweep hit with f > 1 below 5000, in both variants, has I
+    and J invariant under +4, and its projection (I mod 4, J mod 4) is a d=4
+    sweep hit at the same q: the order-12 hits are DHM's order-4 sets.  Only
+    at q = 13, where f = 1, do hits that are not lifts occur."""
+    hits = 0
+    for q in [q for q in range(37, 5000, 24) if ff.is_prime(q)]:
+        for include_zero in (False, True):
+            order4 = set(dhm.hit_pairs(classes(q, 4), include_zero))
+            for I, J in dhm.hit_pairs(classes(q, 12), include_zero):
+                assert is_lift(I) and is_lift(J), (q, I, J, include_zero)
+                projection = (tuple(sorted({i % 4 for i in I})),
+                              tuple(sorted({j % 4 for j in J})))
+                assert projection in order4, (q, I, J, include_zero)
+                hits += 1
+    assert hits == 128
+    assert not all(is_lift(I) and is_lift(J)
+                   for z in (False, True) for I, J in dhm.hit_pairs(classes(13, 12), z))
 
 
 def direct_y_sign(sys, y_abs):

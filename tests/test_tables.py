@@ -1,13 +1,14 @@
-"""The O(q) table layer: the power sequence, the dense index table, the
-narrow class array and the cyclotomic-number table, held against plain
-pure-Python loops and against each other.
+"""The O(q) table layer: the power sequence, the narrow class array and the
+cyclotomic-number table, held against plain pure-Python loops and against
+each other.
 
 The loops below are the reference: one multiplication per power of g for the
 index table, one residue per element for the classes, and one count per
 element for the (m,n)_d table.  The class array is scattered from the power
-sequence without the dense index table, so it is also held against that
-table, built on demand, reduced mod d.  Every scalar the public accessors
-hand out, and every value the CLI serialises, is a Python int.
+sequence without a dense index table, so it is also held against that
+table, scattered by the oracle discrete_logs, reduced mod d.  Every scalar
+the public accessors hand out, and every value the CLI serialises, is a
+Python int.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyclodes import cli, cyclotomy, ff
+from oracles import discrete_logs
 
 SMALL_PRIMES = [q for q in range(3, 1 << 14) if ff.is_prime(q)]
 TOP_PRIME = 1048573     # the largest prime below 2**20
@@ -63,11 +65,10 @@ def loop_union(class_of, indices, d):
 def test_array_tables_equal_loops(q, data):
     g = ff.find_primitive_root(q)
     t = ff.build_index_table(q, g)
-    assert t.powers.dtype == t.ind.dtype == np.int64 and t.ind[0] == 0
+    assert t.powers.dtype == np.int64
     assert t.powers.tolist() == [pow(g, k, q) for k in range(q - 1)]
-    assert all(t.ind[pow(g, k, q)] == k for k in range(q - 1))
     ind = loop_index(q, g)
-    assert t.ind.tolist() == ind
+    assert discrete_logs(t).tolist() == ind
     for d in (d for d in range(1, 13) if (q - 1) % d == 0):
         s = cyclotomy.build_classes(q, d, g)
         class_of = loop_classes(ind, d)
@@ -75,9 +76,7 @@ def test_array_tables_equal_loops(q, data):
         assert s.class_of.tolist() == class_of
         for i in range(d):
             members = [a for a in range(1, q) if class_of[a] == i]
-            assert s.class_members(i) == members
             assert s.members_by_class()[i] == members
-            assert s.class_members(i + d) == members
         assert s.table.tolist() == loop_counts(class_of, d)
         # The last class, d - 1, is what class_of[0] = -1 would wrap to.
         drawn = set() if data is None else data.draw(
@@ -93,7 +92,7 @@ def test_tables_exact_at_the_top_of_the_domain():
     g = ff.find_primitive_root(TOP_PRIME)
     t = ff.build_index_table(TOP_PRIME, g)
     ind = loop_index(TOP_PRIME, g)
-    assert np.array_equal(t.ind, np.array(ind, dtype=np.int64))
+    assert discrete_logs(t).tolist() == ind
     s = cyclotomy.build_classes(TOP_PRIME, 12, g)
     assert s.table.tolist() == loop_counts(loop_classes(ind, 12), 12)
 
@@ -119,7 +118,7 @@ def next_prime(n):
 @given(q=st.integers(3, TOP_PRIME).map(next_prime))
 def test_classes_equal_the_dense_index_table_mod_d(q):
     g = ff.find_primitive_root(q)
-    ind = ff.build_index_table(q, g).ind
+    ind = discrete_logs(ff.build_index_table(q, g))
     for d in (d for d in range(1, 13) if (q - 1) % d == 0):
         s = cyclotomy.build_classes(q, d, g)
         assert s.class_of[0] == -1
@@ -136,7 +135,7 @@ def test_class_dtype_is_the_narrowest_that_holds_minus_d(q, d, dtype):
     s = cyclotomy.build_classes(q, d)
     assert s.class_of.dtype == dtype
     assert s.class_of[0] == -1
-    assert np.array_equal(s.class_of[1:], s.index.ind[1:] % d)
+    assert np.array_equal(s.class_of[1:], discrete_logs(s.index)[1:] % d)
 
 
 def test_the_class_path_never_builds_the_dense_index_table():
@@ -145,7 +144,6 @@ def test_the_class_path_never_builds_the_dense_index_table():
     s.table
     cyclotomy.resolve_signs(s, cyclotomy.quadratic_partitions(13))
     assert "ind" not in vars(s.index)
-    assert s.index(3) == 4 and "ind" in vars(s.index)     # built on demand
 
 
 def test_case_residues_equal_the_dense_index_mod_12():
@@ -155,7 +153,8 @@ def test_case_residues_equal_the_dense_index_mod_12():
         s = cyclotomy.build_classes(q, 12)
         case = cyclotomy.classify_case(s)
         assert "ind" not in vars(s.index)
-        assert (case.M, case.M_prime) == (s.index(2) % 12, s.index(3) % 12), q
+        ind = discrete_logs(s.index)
+        assert (case.M, case.M_prime) == (ind[2] % 12, ind[3] % 12), q
 
 
 def test_tables_at_the_top_of_the_domain_stay_below_15_mb():
@@ -175,7 +174,7 @@ def test_tables_at_the_top_of_the_domain_stay_below_15_mb():
 def test_tables_are_read_only():
     s = cyclotomy.build_classes(37, 12)
     assert s.table.dtype == np.int64 and s.table.shape == (12, 12)
-    for array in (s.class_of, s.index.powers, s.index.ind, s.table):
+    for array in (s.class_of, s.index.powers, s.table):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[1] = 0
@@ -186,7 +185,7 @@ def test_tables_are_read_only():
 
 def test_scalars_are_python_ints():
     s = cyclotomy.build_classes(13, 12)
-    values = [s.index(3), s.klass(5), *s.class_members(4), *s.union({0, 11})]
+    values = [s.klass(5), *s.members_by_class()[4], *s.union({0, 11})]
     for hist in (cyclotomy.stratum_spectrum(s, {0, 1, 4, 5, 8, 9}, {0, 2, 4, 6, 8, 10}, z)
                  for z in (False, True)):
         values += [*hist, *hist.values()]
