@@ -185,55 +185,132 @@ def theorem_parameters(q: int, include_zero: bool) -> tuple[int, int, int, int]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _subset_members(d: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The d/2-subsets of range(d) in lexicographic order, and the read-only
-    0/1 matrix with one row per subset and one column per class."""
+def _subset_members(d: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray,
+                                     np.ndarray]:
+    """The d/2-subsets of range(d) in lexicographic order, and three read-only
+    int64 arrays: member, with one 0/1 row per subset and one column per
+    class; shifted, whose entry [a, h] is the bitmask (bit i for class i) of
+    subset a shifted by h; and half_bits, the 0/1 rows of the 2**(d/2)
+    bitmasks of d/2 classes."""
     subsets = tuple(combinations(range(d), d // 2))
     member = np.zeros((len(subsets), d), dtype=np.int64)
     for i, s in enumerate(subsets):
         member[i, list(s)] = 1
-    member.flags.writeable = False
-    return subsets, member
+    hs = np.arange(d)
+    shifted = member @ (1 << (hs[:, None] + hs) % d)
+    half_bits = (np.arange(1 << d // 2)[:, None] >> hs[:d // 2]) & 1
+    for arr in (member, shifted, half_bits):
+        arr.flags.writeable = False
+    return subsets, member, shifted, half_bits
 
 
-def _near_lam(v: np.ndarray) -> np.ndarray:
-    """Elementwise v in {0, 1}: the stratum value v + lam is lam or lam + 1."""
-    return (v == 0) | (v == 1)
+def _mask_sums(table: np.ndarray, half_bits: np.ndarray) -> np.ndarray:
+    """D[m] = sum_{i, j in m} (i, j)_d for every bitmask m of the d classes.
+
+    A mask is hi * 2**(d/2) + lo, and D[m] is the sum over the low half, the
+    sum over the high half and the pairs across, each a small int64 product
+    over the 2**(d/2) half-masks."""
+    k = half_bits.shape[1]
+    low = ((half_bits @ table[:k, :k]) * half_bits).sum(axis=1)
+    high = ((half_bits @ table[k:, k:]) * half_bits).sum(axis=1)
+    across = half_bits @ (table[k:, :k] + table[:k, k:].T) @ half_bits.T
+    return (high[:, None] + low + across).ravel()
 
 
-def _column_groups(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns of the int64 matrix v, grouped by equality: (distinct,
-    order, starts), where group g is the columns order[starts[g]:starts[g+1]],
-    all equal to distinct[:, g]."""
-    order = np.lexsort(v)
-    s = v[:, order]
-    new = (s[:, 1:] != s[:, :-1]).any(axis=0)
+# A key packs two stratum values x, y as x * _DIGIT + y.  For values below
+# 2**29 in size (every stratum value is below q < 2**20) the packing is
+# one-to-one, and so is the sum of two keys, which packs the sums of their
+# values; every key stays below 2**61.
+_DIGIT = 1 << 31
+
+
+def _near_lam(v: np.ndarray, ones: int = 1) -> np.ndarray:
+    """Elementwise: every value packed in v is 0 or 1, so the stratum value
+    v + lam is lam or lam + 1.  ones is the key whose values are all 1: 1 for
+    a plain value, _DIGIT + 1 for a key of two (then v & ~ones is 0 only at
+    the four keys of 0s and 1s)."""
+    return (v & ~ones) == 0
+
+
+def _pack(x: np.ndarray) -> np.ndarray:
+    """The columns of x two to a key, x[:, 2r] * _DIGIT + x[:, 2r + 1],
+    transposed to one row per key; an odd last column is packed with 0."""
+    if x.shape[1] % 2:
+        x = np.hstack([x, np.zeros_like(x[:, :1])])
+    return (x[:, 0::2] * _DIGIT + x[:, 1::2]).T
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of range(s, s + c) over paired starts and counts."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+# odd 64-bit powers: a row's hash is its dot product with these, wrapping
+_HASH = np.array([pow(0x9E3779B97F4A7C15, i, 1 << 64) for i in range(1, 13)],
+                 dtype=np.uint64).view(np.int64)
+
+
+def _row_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of equal rows of the int64 matrix x (at most 12 columns):
+    (first, order, starts), where run g is the rows order[starts[g]:starts[g+1]],
+    all equal to first[g].  The rows are sorted by a wrapping int64 hash, so
+    equal rows fall together; two unequal rows with one hash can only split a
+    run, never join one, so no decision rests on the hash."""
+    order = np.argsort(x @ _HASH[:x.shape[1]])
+    s = x[order]
+    new = (s[1:] != s[:-1]).any(axis=1)
     starts = np.flatnonzero(np.concatenate(([True], new, [True])))
-    return s[:, starts[:-1]], order, starts
+    return s[starts[:-1]], order, starts
 
 
-def _near_pairs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (a, b) with u[h, a] + v[h, b] in {0, 1} for every row h, in
-    row-major order.
+def _expand(g: np.ndarray, k: np.ndarray, ou: np.ndarray, su: np.ndarray,
+            ov: np.ndarray, sv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (a, b) behind the group pairs (g, k), a in run g of (ou, su) and
+    b in run k of (ov, sv), in lexicographic order."""
+    size_u, size_v = np.diff(su), np.diff(sv)
+    a = ou[_ranges(su[g], size_u[g])]
+    k = np.repeat(k, size_u[g])
+    n = len(ov)
+    ab = np.sort(np.repeat(a, size_v[k]) * n + ov[_ranges(sv[k], size_v[k])])
+    return np.divmod(ab, n)
 
-    The test reads a only through the column u[:, a] and b only through
-    v[:, b], so it is decided on the grid of distinct columns: row 0 on the
-    whole grid, the other rows on the group pairs left.  Each surviving group
-    pair then expands to all its (a, b), and the few pairs are sorted."""
-    du, ou, su = _column_groups(u)
-    dv, ov, sv = _column_groups(v)
-    g, k = np.nonzero(_near_lam(du[0][:, None] + dv[0][None, :]))
-    for h in range(1, len(u)):
-        keep = _near_lam(du[h, g] + dv[h, k])
-        g, k = g[keep], k[keep]
-    # group pair i fills n[i] consecutive slots; rank is the slot within it
-    size_u, size_v = np.diff(su)[g], np.diff(sv)[k]
-    n = size_u * size_v
-    rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    width = np.repeat(size_v, n)
-    a = ou[np.repeat(su[g], n) + rank // width]
-    b = ov[np.repeat(sv[k], n) + rank % width]
-    return np.divmod(np.sort(a * v.shape[1] + b), v.shape[1])
+
+def _join_near(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (a, b) with u[a, h] + v[b, h] in {0, 1} in every column h, as
+    two index arrays in no set order, for values below 2**29 in size.
+
+    An exact sorted join on the first key of _pack, which holds the first two
+    columns.  The keys of v are sorted once.  Row a matches the keys
+    e - key(u[a]) with e in {0, 1, _DIGIT, _DIGIT + 1}: two runs of
+    consecutive integers, found by searchsorted.  The runs expand to the
+    candidate pairs, and the other keys filter them, two columns at a time."""
+    ku, kv = _pack(u), _pack(v)
+    order = np.argsort(kv[0])
+    lead = kv[0, order]
+    by_target = np.argsort(-ku[0])
+    target = -ku[0, by_target]
+    target = np.concatenate([target, target + _DIGIT])   # two sorted runs
+    start = np.searchsorted(lead, target, "left")
+    count = np.searchsorted(lead, target + 1, "right") - start
+    a = np.repeat(np.tile(by_target, 2), count)
+    b = order[_ranges(start, count)]
+    for r in range(1, len(ku)):
+        keep = _near_lam(ku[r, a] + kv[r, b], _DIGIT + 1)
+        a, b = a[keep], b[keep]
+    return a, b
+
+
+def _distinct_strata(u: np.ndarray, v: np.ndarray) -> list[int]:
+    """The first h of each distinct pair of columns (u[:, h], v[:, h])."""
+    first = {}
+    for h, column in enumerate(np.vstack([u, v]).T):
+        first.setdefault(column.tobytes(), h)
+    return list(first.values())
+
+
+# Up to d = 8 (70 subsets) the whole subset grid is as cheap to test as to
+# group and join, and at d = 4 much cheaper.
+_WHOLE_GRID = 100
 
 
 def hit_pairs(sys: CyclotomicSystem,
@@ -242,38 +319,51 @@ def hit_pairs(sys: CyclotomicSystem,
     theorem_parameters, in lexicographic order (f odd).
 
     The 2d+1 strata of cyclotomy.stratum_spectrum, decided stratum by
-    stratum.  With P_h[A] the row sum_{i in A} (i+h, . +h)_d, the class sum
-    over i in I, j in J is P_h[I] . [J], so the same-slice stratum
-    v0_h = P_h[I].[I] + P_h[J].[J] + delta_h(I) is an outer sum of per-subset
-    values.  Many subsets share their d values (74 distinct first-slot and
-    second-slot vectors of the 924 at q = 13), so the same-slice strata are
-    decided on the grid of distinct vectors (_near_pairs), and only the
-    pairs left in {lam, lam+1} on every one, expanded back to subsets, get
-    the cross-slice strata v1_h = P_h[I].[J] + P_h[J].[I] + delta_h(J), the
-    (1,0) shift 2f|I & J| and the lambda count.  Order-preserving filters on
-    the sorted survivors keep the output lexicographic.  Every value is an
-    exact integer at most 2q + 2 < 2**21.
+    stratum in exact int64 arithmetic.  With D[S] = sum_{i, j in S} (i, j)_d
+    for every bitmask S of the classes (_mask_sums), the same-slice stratum
+    v0_h = D[I+h] + delta_h(I) + D[J+h] is an outer sum of one value per
+    subset and slot.  The cross-slice stratum, the class sum over i in I,
+    j in J both ways round, is
+    v1_h = D[X | Y] + D[X & Y] - D[X & ~Y] - D[Y & ~X] + delta_h(J) with
+    X = I+h, Y = J+h.
+
+    The same-slice strata are decided first, on what is distinct.  Strata
+    with equal values are checked once: on cyclotomic tables stratum h + d/2
+    repeats h, so 6 of 12 are left.  Up to d = 8 they are tested on the whole
+    subset grid.  Above it, subsets with equal values are grouped
+    (_row_groups; in the plain variant one grouping serves both slots, whose
+    values differ by lam), and the group pairs that pass are found by an
+    exact sorted join (_join_near).  Only the subset pairs behind them get
+    the cross-slice strata, the (1,0) shift 2f|I & J| and the lambda count,
+    on every h: at d = 12, 2,058 of the 853,776 pairs at q = 13, and at most
+    442 at every prime from 37 to 5000.  Every value is below q < 2**20 in
+    size.
     """
     d, q, f = sys.d, sys.q, sys.f
-    subsets, member = _subset_members(d)
+    subsets, member, shifted, half_bits = _subset_members(d)
     _, _, lam, tcount = theorem_parameters(q, include_zero)
-    hs = np.arange(d)
-    shift = (hs[:, None] + hs) % d  # shift[h, i] = i + h
-    # P[h, a, j] = sum_{i in A} (i+h, j+h)_d
-    P = member @ sys.table[shift[:, :, None], shift[:, None, :]]
-    diag = np.einsum("haj,aj->ha", P, member)
+    D = _mask_sums(np.asarray(sys.table, dtype=np.int64), half_bits)
+    diag = D[shifted]               # diag[a, h] = D[A+h]
     if include_zero:
-        delta = (member[:, -hs % d] + member[:, (sys.minus_one_class - hs) % d]).T
+        hs = np.arange(d)
+        delta = member[:, -hs % d] + member[:, (sys.minus_one_class - hs) % d]
     else:
         delta = np.zeros_like(diag)
-    u = diag + delta - lam          # v0_h(a, b) - lam = u[h, a] + diag[h, b]
-    a, b = _near_pairs(u, diag)
-    v0 = u[:, a] + diag[:, b]
-    v1 = (np.einsum("hkj,kj->hk", P[:, a], member[b])
-          + np.einsum("hkj,kj->hk", P[:, b], member[a]) + delta[:, b] - lam)
-    z = 2 * f * (member[a] * member[b]).sum(axis=1) - lam
-    ok = _near_lam(v1).all(axis=0) & _near_lam(z)
-    lam_count = f * ((v0 == 0).sum(axis=0) + (v1 == 0).sum(axis=0)) + (z == 0)
+    u = diag + delta - lam          # v0_h(a, b) - lam = u[a, h] + diag[b, h]
+    strata = _distinct_strata(u, diag)
+    if len(subsets) <= _WHOLE_GRID:
+        a, b = np.nonzero(_near_lam(u[:, None, strata] + diag[None, :, strata]).all(axis=2))
+    else:
+        V, ov, sv = _row_groups(diag[:, strata])
+        U, ou, su = _row_groups(u[:, strata]) if include_zero else (V - lam, ov, sv)
+        a, b = _expand(*_join_near(U, V), ou, su, ov, sv)
+    x, y = shifted[a], shifted[b]
+    both = x & y                    # so X | Y = x + y - both, X & ~Y = x - both
+    v0 = u[a] + diag[b]
+    v1 = D[x + y - both] + D[both] - D[x - both] - D[y - both] + delta[b] - lam
+    z = 2 * f * (member[a] & member[b]).sum(axis=1) - lam
+    ok = _near_lam(v1).all(axis=1) & _near_lam(z)
+    lam_count = f * ((v0 == 0).sum(axis=1) + (v1 == 0).sum(axis=1)) + (z == 0)
     ok &= lam_count == tcount
     return [(subsets[i], subsets[j]) for i, j in zip(a[ok], b[ok])]
 

@@ -21,14 +21,18 @@ The whole C(d, d/2)**2 sweep therefore reduces to integer arithmetic on the
 exact cyclotomic-number table (dhm.hit_pairs), decided stratum by stratum.
 A same-slice stratum is an outer sum of one value per subset, so the d of
 them read I only through a vector of d integers and J only through another.
-Many subsets share their vector, so these strata are decided on the grid of
-distinct vectors (74 x 74 of the 924 x 924 subsets at d = 12, q = 13).  Only
-the subset pairs behind the vector pairs that pass all d are expanded, and
-they alone get the cross-slice strata, the (1,0) shift and the lambda count.
-At d = 12 that is 2,058 of 853,776 pairs at q = 13, and at most 114 at every
-prime from 229 to 5000.  The slow route (adsets.distance_spectrum per pair)
-computes the same thing by direct counting, every shift of one slice's
-indicator against the other's (adsets.difference_function); the two are
+They are decided on what is distinct: equal strata once (6 of 12 at d = 12,
+since stratum h + d/2 repeats h), and subsets that share their vector as one
+group (470 groups of the 924 subsets at d = 12, q = 1093).  The group pairs
+that pass are found by an exact sorted join on two strata packed into one
+int64 key, and the other strata filter them; up to d = 8 the whole subset
+grid is tested instead.  Only the subset pairs behind the group pairs that
+pass are expanded, and they alone get the cross-slice strata, the (1,0)
+shift and the lambda count.  At d = 12 that is 2,058 of 853,776 pairs at
+q = 13, and at most 114 at every prime from 229 to 5000.  The slow route
+(adsets.distance_spectrum per pair) computes the same thing by direct
+counting, every shift of one slice's indicator against the other's
+(adsets.difference_function); the two are
 cross-checked in the test suite and the theorem recipes are always
 re-verified through the slow route.
 

@@ -6,10 +6,11 @@ the y-sign calibration."""
 
 import random
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -89,15 +90,21 @@ def test_sweep_pairs_reach_hits():
     assert all(sweep_hits(q, z) for q in SWEEP_PRIMES for z in (False, True))
 
 
+def subset_members(d):
+    """The d/2-subsets of range(d) in lexicographic order and their 0/1 rows."""
+    subsets = list(combinations(range(d), d // 2))
+    member = np.zeros((len(subsets), d), dtype=np.int64)
+    for i, s in enumerate(subsets):
+        member[i, list(s)] = 1
+    return subsets, member
+
+
 def full_grid_hit_pairs(sys, include_zero):
     """Reference sweep: every stratum on the full C(d, d/2)**2 grid, one dense
     integer matrix product per class h."""
     d, q, f = sys.d, sys.q, sys.f
-    subsets = list(combinations(range(d), d // 2))
+    subsets, member = subset_members(d)
     ns = len(subsets)
-    member = np.zeros((ns, d), dtype=np.int64)
-    for i, s in enumerate(subsets):
-        member[i, list(s)] = 1
     _, _, lam, tcount = dhm.theorem_parameters(q, include_zero)
     ok = np.ones((ns, ns), dtype=bool)
     lam_count = np.zeros((ns, ns), dtype=np.int64)
@@ -141,29 +148,85 @@ def test_narrowed_sweep_equals_full_grid():
 
 @st.composite
 def stratum_vectors(draw):
-    """Two small int64 matrices with the same number of rows and few distinct
-    columns, so that their sums often sit in {0, 1}."""
-    rows = draw(st.integers(1, 4))
+    """Two int64 matrices with the same number of columns, one per stratum,
+    and few distinct rows, one per subset, so that their sums often sit in
+    {0, 1}.  Strata repeat, as h and h + d/2 of a real table do, and often
+    one distinct stratum is left.  Column h of u sits near -base[h] and of v
+    near base[h], with base up to 2**29 - 4, the edge of the values a packed
+    key holds."""
+    distinct = draw(st.integers(1, 4))
+    pick = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=6))
+    base = np.array([draw(st.sampled_from([0, 1, 2 ** 19, 2 ** 29 - 4]))
+                     for _ in range(distinct)])
 
-    def matrix(low):
-        cols = draw(st.integers(1, 9))
-        cells = st.lists(st.integers(low, low + 3), min_size=cols, max_size=cols)
-        return np.array(draw(st.lists(cells, min_size=rows, max_size=rows)), dtype=np.int64)
+    def matrix(low, sign):
+        rows = draw(st.integers(1, 9))
+        cells = st.lists(st.integers(low, low + 3), min_size=distinct, max_size=distinct)
+        values = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)), dtype=np.int64)
+        return (values + sign * base)[:, pick]
 
-    return matrix(-1), matrix(-2)
+    return matrix(-1, -1), matrix(-2, 1)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(stratum_vectors())
+@example((np.array([[0], [1], [-1]]), np.array([[1], [0], [2], [1]])))    # one stratum
+@example((np.array([[0, 0], [1, 1]]), np.array([[1, 1], [0, 0], [0, 0]])))  # one distinct
+@example((np.array([[5, -3, 2]]), np.array([[-5, 3, -2], [-4, 4, -1]])))  # odd count
 def test_grouped_pairs_equal_double_loop(case):
-    """dhm._near_pairs, which decides on the distinct columns and expands the
-    surviving groups, against the plain double loop over every (a, b), in
-    the same row-major order."""
+    """dhm._join_near on the distinct strata (dhm._distinct_strata), as the
+    sweep calls it, against the plain double loop over every (a, b) and every
+    stratum: the same pairs, once each."""
     u, v = case
-    expected = [(a, b) for a in range(u.shape[1]) for b in range(v.shape[1])
-                if all(u[h, a] + v[h, b] in (0, 1) for h in range(len(u)))]
-    a, b = dhm._near_pairs(u, v)
-    assert list(zip(a.tolist(), b.tolist())) == expected
+    expected = [(a, b) for a in range(len(u)) for b in range(len(v))
+                if all(u[a, h] + v[b, h] in (0, 1) for h in range(u.shape[1]))]
+    strata = dhm._distinct_strata(u, v)
+    a, b = dhm._join_near(u[:, strata], v[:, strata])
+    assert sorted(zip(a.tolist(), b.tolist())) == expected
+
+
+def f_odd_prime(d, n):
+    """The first prime q = d*f + 1 with f odd from about n up, else the last
+    one below; q < 2**20."""
+    top = (ff.Q_LIMIT - 2) // d
+    f = min(max(n // d, 1), top) | 1
+    return next(d * g + 1 for g in chain(range(f, top + 1, 2), range(f - 2, 0, -2))
+                if ff.is_prime(d * g + 1))
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.integers(5, ff.Q_LIMIT - 1))
+@example(ff.Q_LIMIT - 1)
+def test_sweep_equals_full_grid_at_drawn_primes(d, n):
+    """hit_pairs against the full-grid reference at f-odd primes drawn below
+    2**20, in both zero variants."""
+    sys = cyclotomy.build_classes(f_odd_prime(d, n), d)
+    for include_zero in (False, True):
+        assert dhm.hit_pairs(sys, include_zero) == full_grid_hit_pairs(sys, include_zero), \
+            (sys.q, d, include_zero)
+
+
+def test_real_tables_have_half_as_many_distinct_same_slice_strata():
+    """On a cyclotomic table with f odd, the same-slice strata of h and
+    h + d/2 are equal (d_I(w) = d_I(-w), and -1 lies in class d/2), and the
+    d/2 strata below d/2 differ, in both zero variants.  This sets how much
+    the sweep saves by deciding distinct strata only; its result does not
+    rest on it (see the synthetic tables)."""
+    for d in (4, 6, 8, 10, 12):
+        for q in search.search_primes(d, 3000)[:8] + [f_odd_prime(d, ff.Q_LIMIT - 1)]:
+            sys = classes(q, d)
+            _, member = subset_members(d)
+            for include_zero in (False, True):
+                diag, u = [], []
+                for h in range(d):
+                    idx = [(i + h) % d for i in range(d)]
+                    diag.append(np.einsum("ai,ij,aj->a", member,
+                                          sys.table[np.ix_(idx, idx)], member))
+                    delta = member[:, -h % d] + member[:, (sys.minus_one_class - h) % d]
+                    u.append(diag[-1] + include_zero * delta)
+                strata = dhm._distinct_strata(np.array(u).T, np.array(diag).T)
+                assert strata == list(range(d // 2)), (q, d, include_zero)
 
 
 def synthetic_table(rng, d, period):
