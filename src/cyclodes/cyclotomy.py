@@ -6,9 +6,10 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
 
   * D_i = {g**(k*d + i) : 0 <= k < f} is the i-th cyclotomic class of order d,
     i.e. a lands in class Ind(a) mod d.  The classes partition GF(q)*.
-    build_classes labels them by one scatter of the labels 0 .. d-1, f times
-    over, through the power sequence g**0 .. g**(q-2), into the narrowest
-    signed dtype that holds -d; the dense index table is not needed.
+    build_classes labels them through the power sequence g**0 .. g**(q-2),
+    block by block as ff.IndexTable.blocks makes it: the block from g**k0
+    scatters the labels (k0 + i) mod d into the narrowest signed dtype that
+    holds -d.  Neither the whole sequence nor the dense index table is built.
   * The cyclotomic number (m,n)_d = |(D_m + 1) & D_n| is always computed here
     by one exact count over GF(q)* (count a with a in D_m, a+1 in D_n), a
     bincount of the class pairs, block by block, kept as a read-only (d, d)
@@ -69,7 +70,8 @@ class CyclotomicSystem:
     [1, q-1]; class_of[0] is -1 (unused).  Its dtype is the narrowest signed
     one that holds -d: int8 up to d = 128, int16 up to 32768, int32 above
     (only at small f).  Element reads return Python ints.  index holds the
-    power sequence the classes were scattered from.
+    two ~sqrt(q) factors of the power matrix the classes were scattered
+    from, not the q - 1 powers themselves.
     """
 
     q: int
@@ -110,19 +112,29 @@ class CyclotomicSystem:
 
 
 def build_classes(q: int, d: int, g: int | None = None) -> CyclotomicSystem:
-    """Cyclotomic system of order d for GF(q); d must divide q-1."""
+    """Cyclotomic system of order d for GF(q); d must divide q-1.
+
+    The class array is filled one block of powers at a time, each block's
+    labels scattered as it is made, so no q-long int64 array is built.
+    """
     check_prime_modulus(q)
     if d < 1 or (q - 1) % d != 0:
         raise ValueError(f"d={d} does not divide q-1={q - 1}")
     if g is None:
         g = find_primitive_root(q)
     index = build_index_table(q, g)
-    # g**k lies in class k mod d, and d | q - 1, so the labels 0 .. d-1
-    # repeated f times follow the power sequence exactly.
+    # g**k lies in class k mod d, so the block of powers from g**k0 takes
+    # the labels (k0 + i) mod d: a slice of one tile of 0 .. d-1 repeated,
+    # from k0 mod d, long enough for any block at any offset (and never
+    # longer than q - 1, where f = 1 needs all of it).
     dtype = np.min_scalar_type(-d)
+    size = min(d - 1 + index.block_size, q - 1)
+    labels = np.tile(np.arange(d, dtype=dtype), -(-size // d))
     class_of = np.empty(q, dtype)
     class_of[0] = -1
-    class_of[index.powers] = np.tile(np.arange(d, dtype=dtype), (q - 1) // d)
+    for k0, powers in index.blocks():
+        start = k0 % d
+        class_of[powers] = labels[start:start + len(powers)]
     class_of.flags.writeable = False
     return CyclotomicSystem(q=q, d=d, f=(q - 1) // d, g=g, index=index,
                             class_of=class_of)

@@ -3,9 +3,11 @@ primitive root.
 
 Conventions used throughout the package:
   * q is an odd prime, q >= 3, q < 2**20.  Prime powers are not supported;
-    every table is a dense, read-only numpy array.  The power sequence
-    g**0 .. g**(q-2) is the one O(q) table here; the classes are scattered
-    from it, so no index table indexed by residue is built.
+    every table is a dense, read-only numpy array.  No O(q) table is held
+    here: the power sequence g**0 .. g**(q-2) is given out block by block
+    from two factor arrays of about sqrt(q) entries each, and the classes
+    are scattered from each block as it is made, so neither the whole
+    sequence nor an index table indexed by residue is built.
   * The canonical primitive root of q is the *smallest* integer g >= 2 of
     multiplicative order q-1.  Fixing g makes every downstream object
     (cyclotomic classes, sign calibrations, search reports) deterministic.
@@ -16,11 +18,18 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 Q_LIMIT = 1 << 20
+
+# Powers are made about this many at a time, in whole rows of the power
+# matrix and at least one: a 64 KB int64 block stays in cache while its
+# classes are scattered, where one q-long sequence (8.4 MB near 2**20) is
+# fresh memory, and blocks of 64K powers or more were measured slower.
+POWER_BLOCK = 1 << 13
 
 # Witness set is deterministic for all n < 3.3 * 10**24, far beyond Q_LIMIT.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -99,24 +108,54 @@ def find_primitive_root(q: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class IndexTable:
-    """The powers of a primitive root g of q: powers is a read-only int64
-    array of length q - 1, powers[k] = g**k mod q.  The classes are scattered
-    from it (cyclotomy.build_classes); no dense discrete-log table is kept.
+    """The powers of a primitive root g of q, as the two factors of the power
+    matrix: col = g**0 .. g**(width-1) and row[r] = g**(r*width), both
+    read-only int64 arrays of about sqrt(q) entries, width = len(col).  Entry
+    (r, c) of the matrix is row[r] * col[c] mod q = g**(r*width + c), so
+    blocks() gives out g**0 .. g**(q-2) a block of rows at a time, and no
+    q-long array is held.  The classes are scattered from the blocks
+    (cyclotomy.build_classes); no dense discrete-log table is kept.
     """
 
     q: int
     g: int
-    powers: np.ndarray
+    col: np.ndarray
+    row: np.ndarray
+
+    @property
+    def block_size(self) -> int:
+        """Powers in every block but the last: POWER_BLOCK rounded down to
+        whole rows, and at least one row."""
+        width = len(self.col)
+        return max(1, POWER_BLOCK // width) * width
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (k0, powers) in order of k0, powers[i] = g**(k0 + i) mod q
+        as a fresh int64 array of block_size entries; the last block is cut
+        at q - 1 powers.  Each product is below q**2 < 2**40, exact in
+        int64, and is reduced by the floor-divide form t = b // q; b -= t*q,
+        in place, which equals b % q for b >= 0: numpy divides by a scalar
+        on a fast path but takes a slower generic loop for %.
+        """
+        q, n, width = self.q, self.q - 1, len(self.col)
+        rows = self.block_size // width
+        for r0 in range(0, len(self.row), rows):
+            k0 = r0 * width
+            block = np.multiply.outer(self.row[r0:r0 + rows], self.col).ravel()[:n - k0]
+            t = block // q
+            t *= q
+            block -= t
+            yield k0, block
 
 
 def build_index_table(q: int, g: int) -> IndexTable:
-    """Power sequence of primitive root g of q; rejects non-generators.
+    """The power-matrix factors of primitive root g of q; rejects
+    non-generators.
 
-    The powers g**0 .. g**(q-2) are laid out row by row in a block matrix of
-    width = isqrt(q - 1) columns: entry (r, c) is g**(r*width) * g**c mod q,
-    so only the column g**0 .. g**(width-1) and the row of powers of
-    g**width take Python steps, about sqrt(q) each.  Every product is below
-    q**2 < 2**40, exact in int64; the last row is cut at q - 1 powers.
+    The matrix has width = isqrt(q - 1) columns and enough rows to hold
+    q - 1 powers, so only the column g**0 .. g**(width-1) and the row of
+    powers of g**width take Python steps, about sqrt(q) each; the powers
+    themselves are made in blocks by IndexTable.blocks.
     """
     check_prime_modulus(q)
     if not 2 <= g < q or multiplicative_order(g, q) != q - 1:
@@ -130,8 +169,6 @@ def build_index_table(q: int, g: int) -> IndexTable:
     row = [1]
     for _ in range(-(-n // width) - 1):
         row.append(row[-1] * step % q)
-    powers = np.outer(np.array(row, dtype=np.int64), np.array(col, dtype=np.int64))
-    powers %= q
-    powers = powers.ravel()[:n]
-    powers.flags.writeable = False
-    return IndexTable(q=q, g=g, powers=powers)
+    col, row = np.array(col, dtype=np.int64), np.array(row, dtype=np.int64)
+    col.flags.writeable = row.flags.writeable = False
+    return IndexTable(q=q, g=g, col=col, row=row)

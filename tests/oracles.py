@@ -11,10 +11,12 @@ overlap_y_sign and m1_b_sign fit the order-12 signs of y and B to the
 counted table, the way the package did before it pinned them by congruence
 (cyclotomy.resolve_signs).  cubic_residue_02_check is one order-12 identity
 with side conditions, a single row of the case-1 coefficient matrix.
-discrete_logs scatters the dense index table Ind from the power sequence,
-for the tests that read an index.  paper_distance is the paper's statement
-of the order-12 closed forms, five piecewise branch functions matched to a
-pair by rotation, against which dhm.predicted_distance is held.
+power_sequence joins the blocks of powers that an IndexTable gives out into
+one array, and discrete_logs scatters the dense index table Ind from it,
+for the tests that read a power or an index.  paper_distance is the
+paper's statement of the order-12 closed forms, five piecewise branch
+functions matched to a pair by rotation, against which
+dhm.predicted_distance is held.
 """
 
 from dataclasses import replace
@@ -129,11 +131,24 @@ def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition):
     return signs
 
 
+def power_sequence(index: IndexTable) -> np.ndarray:
+    """g**0 .. g**(q-2) as one int64 array, joined from index.blocks().
+    Each block must start where the one before it stopped, and the last
+    must stop at q - 1."""
+    blocks, stop = [], 0
+    for k0, block in index.blocks():
+        assert k0 == stop, (k0, stop)
+        blocks.append(block)
+        stop += len(block)
+    assert stop == index.q - 1, (stop, index.q)
+    return np.concatenate(blocks)
+
+
 def discrete_logs(index: IndexTable) -> np.ndarray:
     """The int64 array ind[a] = Ind(a) for a in [1, q-1], ind[0] = 0
-    (unused): the inverse permutation of index.powers, one scatter."""
+    (unused): the inverse permutation of the power sequence, one scatter."""
     ind = np.zeros(index.q, dtype=np.int64)
-    ind[index.powers] = np.arange(index.q - 1, dtype=np.int64)
+    ind[power_sequence(index)] = np.arange(index.q - 1, dtype=np.int64)
     return ind
 
 

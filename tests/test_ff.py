@@ -1,7 +1,7 @@
 import pytest
 
 from cyclodes import cyclotomy, ff
-from oracles import discrete_logs
+from oracles import discrete_logs, power_sequence
 
 
 def test_is_prime_examples():
@@ -42,7 +42,8 @@ def test_primitive_root_order_property():
 
 def test_index_table_examples():
     t = ff.build_index_table(13, 2)
-    assert t.powers.tolist() == [1, 2, 4, 8, 3, 6, 12, 11, 9, 5, 10, 7]
+    assert (t.col.tolist(), t.row.tolist()) == ([1, 2, 4], [1, 8, 12, 5])
+    assert power_sequence(t).tolist() == [1, 2, 4, 8, 3, 6, 12, 11, 9, 5, 10, 7]
     ind = discrete_logs(t)
     assert ind[3] == 4      # 2**4 = 16 = 3 (mod 13)
     assert ind[1] == 0

@@ -99,9 +99,11 @@ def subset_members(d):
     return subsets, member
 
 
-def full_grid_hit_pairs(sys, include_zero):
+def full_grid_hit_pairs(sys, include_zero, same_slice=None):
     """Reference sweep: every stratum on the full C(d, d/2)**2 grid, one dense
-    integer matrix product per class h."""
+    integer matrix product per class h.  same_slice, if given, limits the
+    range check on the same-slice strata to those h (they still count
+    towards the lam count)."""
     d, q, f = sys.d, sys.q, sys.f
     subsets, member = subset_members(d)
     ns = len(subsets)
@@ -120,7 +122,8 @@ def full_grid_hit_pairs(sys, include_zero):
         v0 = diag[:, None] + diag[None, :] + delta[:, None]
         v1 = m + m.T + delta[None, :]
         for v in (v0, v1):
-            ok &= (v == lam) | (v == lam + 1)
+            if v is v1 or same_slice is None or h in same_slice:
+                ok &= (v == lam) | (v == lam + 1)
             lam_count += (v == lam) * f
     z = 2 * f * (member @ member.T)
     ok &= (z == lam) | (z == lam + 1)
@@ -271,6 +274,41 @@ def test_narrowed_sweep_equals_full_grid_on_synthetic_tables():
             assert got == full_grid_hit_pairs(sys, include_zero), (seed, d, include_zero)
             hits += len(got)
     assert hits > 0
+
+
+# Synthetic order-10 and order-12 tables with f = 1, as their nonzero
+# entries, built so that the sorted join of dhm.hit_pairs is what decides
+# them: a hit needs lam + 1 on a lead same-slice stratum (one of the two in
+# the join's key), and a pair that is no hit passes the lead strata, the
+# cross-slice strata, the (1, 0) shift and the lam count, and fails only on a
+# later same-slice stratum.  On real tables every hit has its lead strata at
+# lam, and the other checks reject what the later strata would.
+LEAD_LAM_PLUS_ONE_TABLES = {
+    10: {(0, 8): 1, (2, 3): 1, (4, 1): 1, (4, 9): 2, (5, 0): 1, (5, 3): 1, (6, 9): 1,
+         (8, 7): 1},
+    12: {(0, 8): 1, (0, 10): 1, (2, 6): 1, (3, 2): 1, (4, 4): 1, (5, 3): 1, (8, 9): 1,
+         (9, 1): 1, (9, 10): 1, (11, 1): 1, (11, 5): 1},
+}
+
+
+@pytest.mark.parametrize("d", sorted(LEAD_LAM_PLUS_ONE_TABLES))
+def test_narrowed_sweep_equals_full_grid_when_a_hit_needs_lam_plus_one_on_a_lead_stratum(d):
+    table = np.zeros((d, d), dtype=np.int64)
+    for (i, j), value in LEAD_LAM_PLUS_ONE_TABLES[d].items():
+        table[i, j] = value
+    sys = SimpleNamespace(d=d, q=d + 1, f=1, minus_one_class=d // 2, table=table)
+    for include_zero in (False, True):
+        assert dhm.hit_pairs(sys, include_zero) == full_grid_hit_pairs(sys, include_zero)
+    # What makes the table a check of the join, in the plain variant.
+    subsets, member = subset_members(d)
+    lam = dhm.theorem_parameters(sys.q, False)[2]
+    diag = np.array([np.einsum("ai,ij,aj->a", member, table[np.ix_(idx, idx)], member)
+                     for idx in ([(i + h) % d for i in range(d)] for h in range(d))]).T
+    lead = dhm._distinct_strata(diag - lam, diag)[:2]
+    index = {s: a for a, s in enumerate(subsets)}
+    hits = full_grid_hit_pairs(sys, False)
+    assert any(lam + 1 in (diag[index[I], lead] + diag[index[J], lead]) for I, J in hits)
+    assert set(full_grid_hit_pairs(sys, False, same_slice=lead)) > set(hits)
 
 
 def test_predicted_spectrum_equals_stratum_spectrum():

@@ -5,10 +5,11 @@ each other.
 The loops below are the reference: one multiplication per power of g for the
 index table, one residue per element for the classes, and one count per
 element for the (m,n)_d table.  The class array is scattered from the power
-sequence without a dense index table, so it is also held against that
-table, scattered by the oracle discrete_logs, reduced mod d.  Every scalar
-the public accessors hand out, and every value the CLI serialises, is a
-Python int.
+sequence block by block, without a dense index table, so it is also held
+against that table, scattered by the oracle discrete_logs from the joined
+blocks, reduced mod d, with blocks of one, two and many rows of the power
+matrix.  Every scalar the public accessors hand out, and every value the
+CLI serialises, is a Python int.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyclodes import cli, cyclotomy, ff
-from oracles import discrete_logs
+from oracles import discrete_logs, power_sequence
 
 SMALL_PRIMES = [q for q in range(3, 1 << 14) if ff.is_prime(q)]
 TOP_PRIME = 1048573     # the largest prime below 2**20
@@ -65,8 +66,8 @@ def loop_union(class_of, indices, d):
 def test_array_tables_equal_loops(q, data):
     g = ff.find_primitive_root(q)
     t = ff.build_index_table(q, g)
-    assert t.powers.dtype == np.int64
-    assert t.powers.tolist() == [pow(g, k, q) for k in range(q - 1)]
+    assert t.col.dtype == t.row.dtype == np.int64
+    assert power_sequence(t).tolist() == [pow(g, k, q) for k in range(q - 1)]
     ind = loop_index(q, g)
     assert discrete_logs(t).tolist() == ind
     for d in (d for d in range(1, 13) if (q - 1) % d == 0):
@@ -125,6 +126,30 @@ def test_classes_equal_the_dense_index_table_mod_d(q):
         assert np.array_equal(s.class_of[1:], ind[1:] % d), (q, d)
 
 
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(3, TOP_PRIME).map(next_prime), d=st.none())
+@example(q=65537, d=65536)      # f = 1; the blocks divide q - 1 evenly
+@example(q=100003, d=100002)    # f = 1; ragged last row and last block
+def test_classes_exact_at_every_block_size(q, d):
+    g = ff.find_primitive_root(q)
+    index = ff.build_index_table(q, g)
+    powers = power_sequence(index)
+    # Every block edge, at any block size, is a row edge of the power matrix.
+    width = len(index.col)
+    edges = sorted({k for r in range(0, q - 1, width) for k in (r - 1, r) if k >= 0} | {q - 2})
+    assert [int(powers[k]) for k in edges] == [pow(g, k, q) for k in edges]
+    ind = discrete_logs(index)
+    orders = [e for e in range(1, 13) if (q - 1) % e == 0] + [d] * (d is not None)
+    for size in (1, 7, width - 1, width + 1, 2 * width + 1, ff.POWER_BLOCK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ff, "POWER_BLOCK", size)
+            assert np.array_equal(power_sequence(ff.build_index_table(q, g)), powers)
+            for e in orders:
+                s = cyclotomy.build_classes(q, e, g)
+                assert s.class_of[0] == -1
+                assert np.array_equal(s.class_of[1:], ind[1:] % e), (q, e, size)
+
+
 @pytest.mark.parametrize("q, d, dtype", [
     (257, 128, np.int8),         # the widest order that int8 holds
     (257, 256, np.int16),
@@ -157,24 +182,39 @@ def test_case_residues_equal_the_dense_index_mod_12():
         assert (case.M, case.M_prime) == (ind[2] % 12, ind[3] % 12), q
 
 
-def test_tables_at_the_top_of_the_domain_stay_below_15_mb():
-    # The peak, 10.5 MB, is the int64 power sequence (8.4 MB) beside the
-    # int8 label tile and classes; the pair codes are counted in blocks.
-    # One more int64 array of length q on the build path, such as the dense
-    # index table, crosses the bound.
+def test_tables_at_the_top_of_the_domain_peak_below_4_mb():
+    # The peak, 2.1 MB, is the 1 MB int8 class array beside one block of
+    # pair codes (512 KB) and its bincount; the powers come in 64 KB blocks.
+    # An int64 array of length q on the build path, such as the whole power
+    # sequence (8.4 MB) or the dense index table, crosses the bound.
     tracemalloc.start()
     try:
         cyclotomy.build_classes(TOP_PRIME, 12).table
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15e6, peak
+    assert peak < 4e6, peak
+
+
+def test_a_system_at_the_top_of_the_domain_holds_below_2_mb():
+    # What a built system keeps is its 1 MB int8 class array, the (d, d)
+    # table and the two ~sqrt(q) power-matrix factors; an int64 array of
+    # length q - 1 held beside them crosses the bound.
+    tracemalloc.start()
+    try:
+        s = cyclotomy.build_classes(TOP_PRIME, 12)
+        s.table
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert s.class_of.nbytes == TOP_PRIME
+    assert held < 2e6, held
 
 
 def test_tables_are_read_only():
     s = cyclotomy.build_classes(37, 12)
     assert s.table.dtype == np.int64 and s.table.shape == (12, 12)
-    for array in (s.class_of, s.index.powers, s.table):
+    for array in (s.class_of, s.index.col, s.index.row, s.table):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[1] = 0
