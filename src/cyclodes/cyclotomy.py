@@ -6,15 +6,24 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
 
   * D_i = {g**(k*d + i) : 0 <= k < f} is the i-th cyclotomic class of order d,
     i.e. a lands in class Ind(a) mod d.  The classes partition GF(q)*.
-    build_classes labels them through the power sequence g**0 .. g**(q-2),
-    block by block as ff.IndexTable.blocks makes it: the block from g**k0
-    scatters the labels (k0 + i) mod d into the narrowest signed dtype that
-    holds -d.  Neither the whole sequence nor the dense index table is built.
+    -1 = g**c with c = (q-1)/2, so -1 lies in class e = c mod d (d/2 for f
+    odd, 0 for f even), and q - g**k = g**(k+c).  build_classes labels the
+    classes through the half g**0 .. g**(c-1) of the power sequence, block
+    by block as ff.IndexTable.blocks makes it: the block from g**k0
+    scatters the labels (k0 + i) mod d onto its powers and (k0 + i + e)
+    mod d onto their negatives, into the narrowest signed dtype that holds
+    -d.  Neither the whole sequence nor the dense index table is built.
   * The cyclotomic number (m,n)_d = |(D_m + 1) & D_n| is always computed here
     by one exact count over GF(q)* (count a with a in D_m, a+1 in D_n), a
     bincount of the class pairs, block by block, kept as a read-only (d, d)
     int64 array, table[m, n] = (m,n)_d; the closed-form coefficient matrix
-    below is a cross-check, never the source of truth.
+    below is a cross-check, never the source of truth.  a -> -1 - a maps
+    the pair of a to that of -1 - a, which gives the classical
+    (m,n)_d = (n+e, m+e)_d (Storer, Cyclotomy and Difference Sets, 1967),
+    so only a in [1, c-1] is counted, and the fixed point a = c is added
+    once.  That symmetry, and a total of q - 2, hold by construction; the
+    row sums, the other symmetries, the case-1 matrix and the whole-range
+    count of the tests stay independent checks.
   * assemble_strata is the one layout of a product set's 2d + 1 difference
     strata, filled from a table's class sums (stratum_distance):
     stratum_spectrum reads the counted table, dhm.predicted_spectrum the
@@ -42,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -114,8 +123,10 @@ class CyclotomicSystem:
 def build_classes(q: int, d: int, g: int | None = None) -> CyclotomicSystem:
     """Cyclotomic system of order d for GF(q); d must divide q-1.
 
-    The class array is filled one block of powers at a time, each block's
-    labels scattered as it is made, so no q-long int64 array is built.
+    Only the half g**0 .. g**(c-1), c = (q-1)/2, of the powers is made, one
+    block at a time, and each block's labels are scattered as it is made, so
+    no q-long int64 array is built.  -1 = g**c, so q - g**k = g**(k+c), and
+    each power labels its negative too, e classes on, e the class of -1.
     """
     check_prime_modulus(q)
     if d < 1 or (q - 1) % d != 0:
@@ -123,45 +134,82 @@ def build_classes(q: int, d: int, g: int | None = None) -> CyclotomicSystem:
     if g is None:
         g = find_primitive_root(q)
     index = build_index_table(q, g)
+    c = (q - 1) // 2
+    e = c % d                   # the class of -1
     # g**k lies in class k mod d, so the block of powers from g**k0 takes
-    # the labels (k0 + i) mod d: a slice of one tile of 0 .. d-1 repeated,
-    # from k0 mod d, long enough for any block at any offset (and never
-    # longer than q - 1, where f = 1 needs all of it).
+    # the labels (k0 + i) mod d, and their negatives (k0 + i + e) mod d:
+    # slices, from k0 mod d and from e further, of one tile of 0 .. d-1
+    # repeated, long enough for any block at any offset (and never longer
+    # than c + e, where f = 1 needs all of it), rounded up to a power of
+    # two, so that primes of about the same size share one cached tile.
     dtype = np.min_scalar_type(-d)
-    size = min(d - 1 + index.block_size, q - 1)
-    labels = np.tile(np.arange(d, dtype=dtype), -(-size // d))
+    need = min(d - 1 + index.block_size, c) + e
+    labels = _label_tile(d, dtype, 1 << (need - 1).bit_length())
     class_of = np.empty(q, dtype)
     class_of[0] = -1
     for k0, powers in index.blocks():
         start = k0 % d
-        class_of[powers] = labels[start:start + len(powers)]
+        stop = start + len(powers)
+        class_of[powers] = labels[start:stop]
+        class_of[q - powers] = labels[start + e:stop + e]
     class_of.flags.writeable = False
     return CyclotomicSystem(q=q, d=d, f=(q - 1) // d, g=g, index=index,
                             class_of=class_of)
 
 
+@lru_cache(maxsize=32)
+def _label_tile(d: int, dtype: np.dtype, size: int) -> np.ndarray:
+    """0 .. d-1 repeated, at least size entries, as a read-only array of
+    dtype; built once per order and size."""
+    tile = np.tile(np.arange(d, dtype=dtype), -(-size // d))
+    tile.flags.writeable = False
+    return tile
+
+
+@lru_cache(maxsize=32)
+def _mirror_index(d: int, e: int) -> np.ndarray:
+    """The flat index that takes a (d, d) count H, raveled, to its mirror:
+    cell (m, n) reads H[n - e, m - e], indices mod d."""
+    m, n = np.divmod(np.arange(d * d), d)
+    index = (n - e) % d * d + (m - e) % d
+    index.flags.writeable = False
+    return index
+
+
 def cyclotomic_numbers(sys: CyclotomicSystem) -> np.ndarray:
     """All (m,n)_d in one count: each a not in {0, -1} adds one to the pair
-    (class of a, class of a + 1), a bincount of the intp codes
-    cls[a]*d + cls[a+1], CODE_BLOCK codes at a time, returned as a
-    read-only (d, d) int64 array."""
+    (class of a, class of a + 1), returned as a read-only (d, d) int64 array.
+
+    a -> -1 - a swaps the pair for (class of a + 1, class of a) moved e
+    classes on, e the class of -1, so only a in [1, c-1], c = (q-1)/2, is
+    counted, into H, a bincount of the codes cls[a]*d + cls[a+1],
+    CODE_BLOCK codes at a time.  The table is H plus its mirror,
+    (m,n)_d = H[m, n] + H[n - e, m - e], plus one at the fixed point a = c,
+    whose pair is (class of c, class of c + 1).  So (m,n)_d = (n+e, m+e)_d
+    and the cells sum to q - 2 by construction.
+    """
     d, q, cls = sys.d, sys.q, sys.class_of
     if d > TABLE_D_LIMIT:
         raise ValueError(f"d={d} is too large for the (m,n)_d table: "
                          "d must be at most 2**10")
+    c = (q - 1) // 2
+    # Widened first: the codes run to d*d - 1, and a product in the narrow
+    # class dtype would wrap.  int16 codes, widened by bincount as it reads
+    # them, were measured a fifth to a third faster than intp codes on
+    # blocks of CODE_BLOCK at d = 12; int32 holds d*d up to TABLE_D_LIMIT.
+    wide = np.int16 if d * d < 1 << 15 else np.int32
     counts = np.zeros(d * d, dtype=np.int64)
-    for start in range(1, q - 1, CODE_BLOCK):
-        stop = min(start + CODE_BLOCK, q - 1)
-        # Widened first: the codes run to d*d - 1, and a product in the
-        # narrow class dtype would wrap.  intp is what bincount reads
-        # without a copy.
-        codes = cls[start:stop].astype(np.intp)
+    for start in range(1, c, CODE_BLOCK):
+        stop = min(start + CODE_BLOCK, c)
+        codes = cls[start:stop].astype(wide)
         codes *= d
         codes += cls[start + 1:stop + 1]
         counts += np.bincount(codes, minlength=d * d)
+    table = counts + counts[_mirror_index(d, c % d)]
+    table[int(cls[c]) * d + int(cls[c + 1])] += 1
     # read-only before the reshape, so the (d, d) view's base is read-only too
-    counts.flags.writeable = False
-    return counts.reshape(d, d)
+    table.flags.writeable = False
+    return table.reshape(d, d)
 
 
 def table_to_csv(table: np.ndarray) -> str:

@@ -4,10 +4,12 @@ primitive root.
 Conventions used throughout the package:
   * q is an odd prime, q >= 3, q < 2**20.  Prime powers are not supported;
     every table is a dense, read-only numpy array.  No O(q) table is held
-    here: the power sequence g**0 .. g**(q-2) is given out block by block
-    from two factor arrays of about sqrt(q) entries each, and the classes
-    are scattered from each block as it is made, so neither the whole
-    sequence nor an index table indexed by residue is built.
+    here: half the power sequence, g**0 .. g**(c-1) with c = (q-1)/2, is
+    given out block by block from two factor arrays of about sqrt(q)
+    entries each, and the classes are scattered from each block as it is
+    made, so neither the whole sequence nor an index table indexed by
+    residue is built.  The other half needs no multiplication: -1 = g**c,
+    so g**(k+c) = q - g**k.
   * The canonical primitive root of q is the *smallest* integer g >= 2 of
     multiplicative order q-1.  Fixing g makes every downstream object
     (cyclotomic classes, sign calibrations, search reports) deterministic.
@@ -111,10 +113,13 @@ class IndexTable:
     """The powers of a primitive root g of q, as the two factors of the power
     matrix: col = g**0 .. g**(width-1) and row[r] = g**(r*width), both
     read-only int64 arrays of about sqrt(q) entries, width = len(col).  Entry
-    (r, c) of the matrix is row[r] * col[c] mod q = g**(r*width + c), so
-    blocks() gives out g**0 .. g**(q-2) a block of rows at a time, and no
-    q-long array is held.  The classes are scattered from the blocks
-    (cyclotomy.build_classes); no dense discrete-log table is kept.
+    (r, j) of the matrix is row[r] * col[j] mod q = g**(r*width + j), so
+    blocks() gives out the half g**0 .. g**(c-1), c = (q-1)/2, a block of
+    rows at a time, and no q-long array is held; row has only the
+    ceil(c / width) rows the half needs.  The rest of the sequence is
+    g**(k+c) = q - g**k, since g**c = -1.  The classes are scattered from
+    the blocks (cyclotomy.build_classes); no dense discrete-log table is
+    kept.
     """
 
     q: int
@@ -132,16 +137,17 @@ class IndexTable:
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (k0, powers) in order of k0, powers[i] = g**(k0 + i) mod q
         as a fresh int64 array of block_size entries; the last block is cut
-        at q - 1 powers.  Each product is below q**2 < 2**40, exact in
-        int64, and is reduced by the floor-divide form t = b // q; b -= t*q,
-        in place, which equals b % q for b >= 0: numpy divides by a scalar
-        on a fast path but takes a slower generic loop for %.
+        at c = (q-1)/2 powers, the half that labels every class.  Each
+        product is below q**2 < 2**40, exact in int64, and is reduced by the
+        floor-divide form t = b // q; b -= t*q, in place, which equals b % q
+        for b >= 0: numpy divides by a scalar on a fast path but takes a
+        slower generic loop for %.
         """
-        q, n, width = self.q, self.q - 1, len(self.col)
+        q, c, width = self.q, (self.q - 1) // 2, len(self.col)
         rows = self.block_size // width
         for r0 in range(0, len(self.row), rows):
             k0 = r0 * width
-            block = np.multiply.outer(self.row[r0:r0 + rows], self.col).ravel()[:n - k0]
+            block = np.multiply.outer(self.row[r0:r0 + rows], self.col).ravel()[:c - k0]
             t = block // q
             t *= q
             block -= t
@@ -152,22 +158,23 @@ def build_index_table(q: int, g: int) -> IndexTable:
     """The power-matrix factors of primitive root g of q; rejects
     non-generators.
 
-    The matrix has width = isqrt(q - 1) columns and enough rows to hold
-    q - 1 powers, so only the column g**0 .. g**(width-1) and the row of
-    powers of g**width take Python steps, about sqrt(q) each; the powers
-    themselves are made in blocks by IndexTable.blocks.
+    The matrix has width = isqrt(q - 1) columns and enough rows to hold the
+    c = (q-1)/2 powers g**0 .. g**(c-1), so only the column
+    g**0 .. g**(width-1) and the row of powers of g**width take Python
+    steps, about sqrt(q) and sqrt(q)/2; the powers themselves are made in
+    blocks by IndexTable.blocks.
     """
     check_prime_modulus(q)
     if not 2 <= g < q or multiplicative_order(g, q) != q - 1:
         raise ValueError(f"g={g} is not a primitive root of q={q}")
-    n = q - 1
-    width = math.isqrt(n)
+    width = math.isqrt(q - 1)
+    c = (q - 1) // 2
     col = [1]
     for _ in range(width - 1):
         col.append(col[-1] * g % q)
     step = col[-1] * g % q  # g**width
     row = [1]
-    for _ in range(-(-n // width) - 1):
+    for _ in range(-(-c // width) - 1):
         row.append(row[-1] * step % q)
     col, row = np.array(col, dtype=np.int64), np.array(row, dtype=np.int64)
     col.flags.writeable = row.flags.writeable = False

@@ -11,12 +11,14 @@ overlap_y_sign and m1_b_sign fit the order-12 signs of y and B to the
 counted table, the way the package did before it pinned them by congruence
 (cyclotomy.resolve_signs).  cubic_residue_02_check is one order-12 identity
 with side conditions, a single row of the case-1 coefficient matrix.
-power_sequence joins the blocks of powers that an IndexTable gives out into
-one array, and discrete_logs scatters the dense index table Ind from it,
-for the tests that read a power or an index.  paper_distance is the
-paper's statement of the order-12 closed forms, five piecewise branch
-functions matched to a pair by rotation, against which
-dhm.predicted_distance is held.
+power_sequence joins the half of the powers that an IndexTable gives out
+into one array and extends it by q - g**k, and discrete_logs scatters the
+dense index table Ind from it, for the tests that read a power or an index.
+cyclotomic_numbers_bincount counts the (m,n)_d table over every a in
+[1, q-2], the whole-range count that cyclotomy.cyclotomic_numbers halves by
+the -1 symmetry.  paper_distance is the paper's statement of the order-12
+closed forms, five piecewise branch functions matched to a pair by
+rotation, against which dhm.predicted_distance is held.
 """
 
 from dataclasses import replace
@@ -132,16 +134,27 @@ def cubic_residue_02_check(sys: CyclotomicSystem, part: QuadraticPartition):
 
 
 def power_sequence(index: IndexTable) -> np.ndarray:
-    """g**0 .. g**(q-2) as one int64 array, joined from index.blocks().
-    Each block must start where the one before it stopped, and the last
-    must stop at q - 1."""
+    """g**0 .. g**(q-2) as one int64 array: the half g**0 .. g**(c-1),
+    c = (q-1)/2, joined from index.blocks(), then q - g**k for the other
+    half, since g**(k+c) = -g**k.  Each block must start where the one
+    before it stopped, and the last must stop at c."""
     blocks, stop = [], 0
     for k0, block in index.blocks():
         assert k0 == stop, (k0, stop)
         blocks.append(block)
         stop += len(block)
-    assert stop == index.q - 1, (stop, index.q)
-    return np.concatenate(blocks)
+    assert stop == (index.q - 1) // 2, (stop, index.q)
+    half = np.concatenate(blocks)
+    return np.concatenate([half, index.q - half])
+
+
+def cyclotomic_numbers_bincount(sys: CyclotomicSystem) -> np.ndarray:
+    """The (d, d) int64 table, table[m, n] = (m,n)_d: each a in [1, q-2]
+    adds one to the pair (class of a, class of a + 1), a bincount of the
+    codes class_of[a]*d + class_of[a+1] over the whole range at once."""
+    d, cls = sys.d, sys.class_of.astype(np.int64)
+    codes = cls[1:-1] * d + cls[2:]
+    return np.bincount(codes, minlength=d * d).reshape(d, d)
 
 
 def discrete_logs(index: IndexTable) -> np.ndarray:

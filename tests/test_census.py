@@ -3,12 +3,13 @@ sha256 of the stdout of `search --d D --bound 1048575` and of
 family_report_dD.csv, in both zero variants.  The order-12 digests were
 recorded from the dense-grid sweep that the sorted join replaced, and the
 order-4 digests from the classes scattered through a whole int64 power
-sequence, before it was made in blocks, so they catch any drift in the
+sequence, before it was made in blocks, and all four before the classes
+and the table were made on half of GF(q)*, so they catch any drift in the
 census output.
 
 Opt in with CYCLODES_CENSUS=1.  Each variant runs on two workers, since the
-output is byte-identical at any worker count; on a 2-vCPU machine each takes
-about 40 s at order 12 and 140 s at order 4.
+output is byte-identical at any worker count; on a 2-vCPU machine the four
+take about 165 s together.
 """
 
 import hashlib

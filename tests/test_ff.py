@@ -42,7 +42,9 @@ def test_primitive_root_order_property():
 
 def test_index_table_examples():
     t = ff.build_index_table(13, 2)
-    assert (t.col.tolist(), t.row.tolist()) == ([1, 2, 4], [1, 8, 12, 5])
+    # width 3, and two rows hold the half g**0 .. g**5 that blocks() gives out
+    assert (t.col.tolist(), t.row.tolist()) == ([1, 2, 4], [1, 8])
+    assert [b.tolist() for _, b in t.blocks()] == [[1, 2, 4, 8, 3, 6]]
     assert power_sequence(t).tolist() == [1, 2, 4, 8, 3, 6, 12, 11, 9, 5, 10, 7]
     ind = discrete_logs(t)
     assert ind[3] == 4      # 2**4 = 16 = 3 (mod 13)

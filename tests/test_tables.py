@@ -4,15 +4,19 @@ each other.
 
 The loops below are the reference: one multiplication per power of g for the
 index table, one residue per element for the classes, and one count per
-element for the (m,n)_d table.  The class array is scattered from the power
-sequence block by block, without a dense index table, so it is also held
-against that table, scattered by the oracle discrete_logs from the joined
-blocks, reduced mod d, with blocks of one, two and many rows of the power
-matrix.  Every scalar the public accessors hand out, and every value the
-CLI serialises, is a Python int.
+element for the (m,n)_d table.  The class array is scattered from the half
+g**0 .. g**(c-1), c = (q-1)/2, of the power sequence, block by block, without
+a dense index table, so it is also held against that table, scattered by the
+oracle discrete_logs from the joined blocks and their negatives, reduced mod
+d, with blocks of one, two and many rows of the power matrix.  The table is
+counted on half of GF(q)* and mirrored by -1, so it is also held against the
+whole-range count, the oracle cyclotomic_numbers_bincount.  Every scalar the
+public accessors hand out, and every value the CLI serialises, is a Python
+int.
 """
 
 import hashlib
+import math
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -21,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyclodes import cli, cyclotomy, ff
-from oracles import discrete_logs, power_sequence
+from oracles import cyclotomic_numbers_bincount, discrete_logs, power_sequence
 
 SMALL_PRIMES = [q for q in range(3, 1 << 14) if ff.is_prime(q)]
 TOP_PRIME = 1048573     # the largest prime below 2**20
@@ -99,9 +103,14 @@ def test_tables_exact_at_the_top_of_the_domain():
 
 
 @pytest.mark.parametrize("blocks", [1, 4])
-def test_counts_exact_when_the_last_code_block_holds_one_pair(blocks):
-    q = blocks * cyclotomy.CODE_BLOCK + 3     # q - 2 codes: 65,539 and 262,147
-    assert ff.is_prime(q)
+def test_counts_exact_when_the_last_code_block_holds_one_pair(blocks, monkeypatch):
+    # The count reads c - 1 = (q - 3)/2 codes, 32,777 = 4 * 8194 + 1 here, so
+    # CODE_BLOCK = (c - 2) / blocks leaves the last block one pair.  No prime
+    # below 2**20 puts one pair past a multiple of the real CODE_BLOCK.
+    q = 65557
+    c = (q - 1) // 2
+    monkeypatch.setattr(cyclotomy, "CODE_BLOCK", (c - 2) // blocks)
+    assert ff.is_prime(q) and (c - 1) % cyclotomy.CODE_BLOCK == 1
     g = ff.find_primitive_root(q)
     ind = loop_index(q, g)
     for d in (d for d in range(1, 13) if (q - 1) % d == 0):
@@ -128,15 +137,17 @@ def test_classes_equal_the_dense_index_table_mod_d(q):
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(q=st.integers(3, TOP_PRIME).map(next_prime), d=st.none())
-@example(q=65537, d=65536)      # f = 1; the blocks divide q - 1 evenly
+@example(q=65537, d=65536)      # f = 1; the blocks divide the half evenly
 @example(q=100003, d=100002)    # f = 1; ragged last row and last block
 def test_classes_exact_at_every_block_size(q, d):
     g = ff.find_primitive_root(q)
     index = ff.build_index_table(q, g)
     powers = power_sequence(index)
-    # Every block edge, at any block size, is a row edge of the power matrix.
-    width = len(index.col)
-    edges = sorted({k for r in range(0, q - 1, width) for k in (r - 1, r) if k >= 0} | {q - 2})
+    # Every block edge, at any block size, is a row edge of the power matrix
+    # below c = (q-1)/2, or the cut at c, where the negatives take over.
+    c, width = (q - 1) // 2, len(index.col)
+    edges = sorted({k for r in range(0, c, width) for k in (r - 1, r) if k >= 0}
+                   | {c - 1, c, q - 2})
     assert [int(powers[k]) for k in edges] == [pow(g, k, q) for k in edges]
     ind = discrete_logs(index)
     orders = [e for e in range(1, 13) if (q - 1) % e == 0] + [d] * (d is not None)
@@ -148,6 +159,41 @@ def test_classes_exact_at_every_block_size(q, d):
                 s = cyclotomy.build_classes(q, e, g)
                 assert s.class_of[0] == -1
                 assert np.array_equal(s.class_of[1:], ind[1:] % e), (q, e, size)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(3, TOP_PRIME).map(next_prime), d=st.none())
+@example(q=3, d=None)       # c = 1: the fixed point a = c is the only term
+@example(q=5, d=None)       # c = 2
+@example(q=7, d=None)       # c = 3
+@example(q=11, d=None)      # c = 5 cuts the second row of width 3
+@example(q=257, d=128)      # the widest order that int8 holds
+@example(q=257, d=256)      # f = 1, in int16
+@example(q=TOP_PRIME, d=None)
+def test_half_count_equals_the_whole_range_count(q, d):
+    g = ff.find_primitive_root(q)
+    ind = discrete_logs(ff.build_index_table(q, g))
+    c, width = (q - 1) // 2, math.isqrt(q - 1)
+    # Orders up to 12, and the power of two 2**v || q - 1, at which f is odd
+    # and the class of -1 is d/2, not 0.
+    odd_f = (q - 1) & -(q - 1)
+    orders = {e for e in (*range(1, 13), d, odd_f)
+              if e is not None and e <= cyclotomy.TABLE_D_LIMIT and (q - 1) % e == 0}
+    # Blocks of one row, so the half ends mid-row where c is not a multiple
+    # of the width, and code blocks of c - 2, so the last holds one pair.
+    for power_block, code_block in ((ff.POWER_BLOCK, cyclotomy.CODE_BLOCK),
+                                    (width, max(1, c - 2))):
+        minus_one = set()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ff, "POWER_BLOCK", power_block)
+            patch.setattr(cyclotomy, "CODE_BLOCK", code_block)
+            for order in sorted(orders):
+                s = cyclotomy.build_classes(q, order, g)
+                assert np.array_equal(s.class_of[1:], ind[1:] % order), (q, order, power_block)
+                assert np.array_equal(s.table, cyclotomic_numbers_bincount(s)), (q, order, code_block)
+                minus_one.add(s.minus_one_class == 0)
+        if odd_f <= cyclotomy.TABLE_D_LIMIT:
+            assert minus_one == {True, False}      # e = 0 and e = d/2 both seen
 
 
 @pytest.mark.parametrize("q, d, dtype", [
@@ -183,8 +229,9 @@ def test_case_residues_equal_the_dense_index_mod_12():
 
 
 def test_tables_at_the_top_of_the_domain_peak_below_4_mb():
-    # The peak, 2.1 MB, is the 1 MB int8 class array beside one block of
-    # pair codes (512 KB) and its bincount; the powers come in 64 KB blocks.
+    # The peak, 1.7 MB, is the 1 MB int8 class array beside one block of
+    # int16 pair codes (128 KB), the intp copy bincount reads (512 KB) and
+    # its counts; the powers come in 64 KB blocks.
     # An int64 array of length q on the build path, such as the whole power
     # sequence (8.4 MB) or the dense index table, crosses the bound.
     tracemalloc.start()
