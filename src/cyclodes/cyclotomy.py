@@ -24,6 +24,11 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
     once.  That symmetry, and a total of q - 2, hold by construction; the
     row sums, the other symmetries, the case-1 matrix and the whole-range
     count of the tests stay independent checks.
+  * For f odd, d is even and also (h,k)_d = (-h, k-h)_d (Whiteman 1960).
+    orbit_representatives(d) maps each cell to the least member of its
+    orbit under that and the mirror.  EQUALITY_TABLE, CANONICAL_LABELS and
+    the layout of ORDER4_MATRIX are derived from it, not typed in.  The
+    mirror holds by construction, so (-h, k-h) is the independent check.
   * assemble_strata is the one layout of a product set's 2d + 1 difference
     strata, filled from a table's class sums (stratum_distance):
     stratum_spectrum reads the counted table, dhm.predicted_spectrum the
@@ -174,6 +179,25 @@ def _mirror_index(d: int, e: int) -> np.ndarray:
     index = (n - e) % d * d + (m - e) % d
     index.flags.writeable = False
     return index
+
+
+@lru_cache(maxsize=32)
+def orbit_representatives(d: int) -> np.ndarray:
+    """rep[h, k] = h'*d + k', (h', k') the least member of the orbit of
+    (h, k) under (h, k) -> (k + d/2, h + d/2), the mirror of the count, and
+    (h, k) -> (-h, k - h), as a read-only (d, d) int array; d must be even.
+    Each cell takes the least rep of its two images until none changes.
+    """
+    if d % 2:
+        raise ValueError(f"the f-odd symmetries need an even order, not d={d}")
+    h, k = np.divmod(np.arange(d * d), d)
+    sigma = _mirror_index(d, d // 2)
+    tau = (-h) % d * d + (k - h) % d
+    rep, prev = np.arange(d * d), None
+    while not np.array_equal(rep, prev):
+        rep, prev = np.minimum(rep, np.minimum(rep[sigma], rep[tau])), rep
+    rep.flags.writeable = False
+    return rep.reshape(d, d)
 
 
 def cyclotomic_numbers(sys: CyclotomicSystem) -> np.ndarray:
@@ -454,37 +478,16 @@ def classify_case(sys: CyclotomicSystem) -> CaseClassification:
 # equality table: the 144 order-12 numbers reduce to 31 for f odd
 # ---------------------------------------------------------------------------
 
-# Row h, column k; entry "hX" means (h,10), "hY" means (h,11).
-_EQUALITY_ROWS = """
-00 01 02 03 04 05 06 07 08 09 0X 0Y
-10 11 12 13 14 15 07 05 15 19 1X 1Y
-20 21 22 23 24 19 08 15 04 14 24 2Y
-30 31 32 30 2Y 1X 09 19 14 03 13 23
-22 32 42 31 20 1Y 0X 1X 24 13 02 12
-11 21 31 32 21 10 0Y 1Y 2Y 23 12 01
-00 10 20 30 22 11 00 10 20 30 22 11
-10 0Y 1Y 2Y 23 12 01 11 21 31 32 21
-20 1Y 0X 1X 24 13 02 12 22 32 42 31
-30 2Y 1X 09 19 14 03 13 23 30 31 32
-22 23 24 19 08 15 04 14 24 2Y 20 21
-11 12 13 14 15 07 05 15 19 1X 1Y 10
-""".split()
-
-EQUALITY_TABLE: tuple[tuple[str, ...], ...] = tuple(
-    tuple(_EQUALITY_ROWS[r * 12:(r + 1) * 12]) for r in range(12)
-)
+# (h,k)_12 is labelled by h and k as one character: "hX" is (h,10), "hY" (h,11).
+_LABEL_DIGITS = "0123456789XY"
 
 
 def label_to_pair(label: str) -> tuple[int, int]:
-    h = int(label[0])
-    k = {"X": 10, "Y": 11}.get(label[1])
-    if k is None:
-        k = int(label[1])
-    return h, k
+    return int(label[0]), _LABEL_DIGITS.index(label[1])
 
 
 def pair_to_label(h: int, k: int) -> str:
-    return f"{h}{'XY'[k - 10] if k >= 10 else k}"
+    return f"{h}{_LABEL_DIGITS[k]}"
 
 
 def reduce_hk(h: int, k: int) -> str:
@@ -494,14 +497,16 @@ def reduce_hk(h: int, k: int) -> str:
     return EQUALITY_TABLE[h][k]
 
 
-# The 31 canonical labels in (h,k) lexicographic order.
+# EQUALITY_TABLE[h][k] labels the least member of the orbit of (h, k);
+# CANONICAL_LABELS labels the 31 least members in (h,k) lexicographic order,
+# the cells that are their own representative (a plain np.unique would
+# import numpy.ma, about 16 ms, at import).
+EQUALITY_TABLE: tuple[tuple[str, ...], ...] = tuple(
+    tuple(pair_to_label(*divmod(r, 12)) for r in line)
+    for line in orbit_representatives(12).tolist())
+_CANONICAL_CELLS = np.flatnonzero(orbit_representatives(12).ravel() == np.arange(144))
 CANONICAL_LABELS: tuple[str, ...] = tuple(
-    pair_to_label(h, k)
-    for h, k in ([(0, k) for k in range(12)]
-                 + [(1, k) for k in (0, 1, 2, 3, 4, 5, 9, 10, 11)]
-                 + [(2, k) for k in (0, 1, 2, 3, 4, 11)]
-                 + [(3, 0), (3, 1), (3, 2), (4, 2)])
-)
+    pair_to_label(*divmod(r, 12)) for r in _CANONICAL_CELLS.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +577,7 @@ def brute_force_canonical(table: np.ndarray) -> dict[str, int]:
     """Exact values of the 31 canonical numbers from a full order-12 table."""
     if table.shape != (12, 12):
         raise ValueError("canonical labels are defined for order 12")
-    rows = table.tolist()
-    out = {}
-    for label in CANONICAL_LABELS:
-        h, k = label_to_pair(label)
-        out[label] = rows[h][k]
-    return out
+    return dict(zip(CANONICAL_LABELS, table.ravel()[_CANONICAL_CELLS].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +586,19 @@ def brute_force_canonical(table: np.ndarray) -> dict[str, int]:
 
 # The classical five values for q = 4f + 1, f odd (Storer, Cyclotomy and
 # Difference Sets, 1967), with s = x and t = y_signed as resolve_signs pins
-# it; ORDER4_MATRIX[h][k] is the row of (h,k)_4.
+# it, keyed by the five orbits' least members; ORDER4_MATRIX[h][k] is the
+# row of (h,k)_4.
 _ORDER4_ROWS = {
-    "A": (1, 2, 0, -7),
-    "B": (1, 2, -8, 1),
-    "C": (1, -6, 0, 1),
-    "D": (1, 2, 8, 1),
-    "E": (1, -2, 0, -3),
+    (0, 0): (1, 2, 0, -7),
+    (0, 1): (1, 2, -8, 1),
+    (0, 2): (1, -6, 0, 1),
+    (0, 3): (1, 2, 8, 1),
+    (1, 0): (1, -2, 0, -3),
 }
 
 ORDER4_MATRIX: tuple[tuple[tuple[int, int, int, int], ...], ...] = tuple(
-    tuple(_ORDER4_ROWS[v] for v in line) for line in ("ABCD", "EEDB", "AEAE", "EDBE"))
+    tuple(_ORDER4_ROWS[divmod(r, 4)] for r in line)
+    for line in orbit_representatives(4).tolist())
 
 
 def order4_numbers(part: QuadraticPartition) -> list[list[int]]:

@@ -18,7 +18,10 @@ cyclotomic_numbers_bincount counts the (m,n)_d table over every a in
 [1, q-2], the whole-range count that cyclotomy.cyclotomic_numbers halves by
 the -1 symmetry.  paper_distance is the paper's statement of the order-12
 closed forms, five piecewise branch functions matched to a pair by
-rotation, against which dhm.predicted_distance is held.
+rotation, against which dhm.predicted_distance is held.  EQUALITY_ROWS,
+CANONICAL_PAIRS, ORDER4_ROWS and ORDER4_LAYOUT are the f-odd equality
+layouts (Storer 1967; Whiteman 1960) as typed from the literature, against
+which the layouts cyclotomy derives from orbit_representatives are held.
 """
 
 from dataclasses import replace
@@ -243,3 +246,41 @@ def paper_distance(part: QuadraticPartition, A: frozenset[int], B: frozenset[int
     representative pair's form, t the rotation aligning (A, B) with it."""
     func, t = _formula(frozenset(A), frozenset(B))
     return func(part.q, part.x, part.y_signed, (h + t) % 12)
+
+
+# ---------------------------------------------------------------------------
+# the f-odd equality layouts, as transcribed
+# ---------------------------------------------------------------------------
+
+# Row h, column k of the order-12 labels; "hX" means (h,10), "hY" (h,11).
+EQUALITY_ROWS = """
+00 01 02 03 04 05 06 07 08 09 0X 0Y
+10 11 12 13 14 15 07 05 15 19 1X 1Y
+20 21 22 23 24 19 08 15 04 14 24 2Y
+30 31 32 30 2Y 1X 09 19 14 03 13 23
+22 32 42 31 20 1Y 0X 1X 24 13 02 12
+11 21 31 32 21 10 0Y 1Y 2Y 23 12 01
+00 10 20 30 22 11 00 10 20 30 22 11
+10 0Y 1Y 2Y 23 12 01 11 21 31 32 21
+20 1Y 0X 1X 24 13 02 12 22 32 42 31
+30 2Y 1X 09 19 14 03 13 23 30 31 32
+22 23 24 19 08 15 04 14 24 2Y 20 21
+11 12 13 14 15 07 05 15 19 1X 1Y 10
+""".split()
+
+# The 31 canonical (h,k)_12 in (h,k) lexicographic order.
+CANONICAL_PAIRS = ([(0, k) for k in range(12)]
+                   + [(1, k) for k in (0, 1, 2, 3, 4, 5, 9, 10, 11)]
+                   + [(2, k) for k in (0, 1, 2, 3, 4, 11)]
+                   + [(3, 0), (3, 1), (3, 2), (4, 2)])
+
+# The five order-4 rows, 16*(h,k)_4 = row . (q, s, t, 1), and the letter of
+# (h,k)_4 at row h, column k.
+ORDER4_ROWS = {
+    "A": (1, 2, 0, -7),
+    "B": (1, 2, -8, 1),
+    "C": (1, -6, 0, 1),
+    "D": (1, 2, 8, 1),
+    "E": (1, -2, 0, -3),
+}
+ORDER4_LAYOUT = ("ABCD", "EEDB", "AEAE", "EDBE")

@@ -60,6 +60,33 @@ def test_cycnums_check_m1_fails_on_a_corrupted_matrix_row(monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("check failed: ")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cycnums_equality_check_fails_on_a_swapped_row(monkeypatch, capsys, fmt):
+    # two cells of row 1 swapped: the total and the row sums still hold, but
+    # (h,k) = (-h, k-h), which maps row 1 to row 11 (and row 0 to itself),
+    # does not
+    from cyclodes import cyclotomy
+
+    count = cyclotomy.cyclotomic_numbers
+
+    def swapped(sys_):
+        table = count(sys_).copy()
+        k1, k2 = int(table[1].argmin()), int(table[1].argmax())
+        table[1, [k1, k2]] = table[1, [k2, k1]]
+        return table
+
+    monkeypatch.setattr(cyclotomy, "cyclotomic_numbers", swapped)
+    code, out, _ = run(capsys, "cycnums", "--q", "37", "--d", "12", "--format", fmt)
+    assert code == 1
+    if fmt == "csv":
+        assert out.endswith("# total_is_q_minus_2: PASS\n# row_sum_identity: PASS\n"
+                            "# equality_table: FAIL\n")
+    else:
+        assert json.loads(out)["checks"] == {"total_is_q_minus_2": True,
+                                             "row_sum_identity": True,
+                                             "equality_table": False}
+
+
 def test_cycnums_d2(capsys):
     code, out, _ = run(capsys, "cycnums", "--q", "13", "--d", "2")
     assert code == 0

@@ -1,12 +1,14 @@
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclodes import cyclotomy as cy
 from cyclodes import ff
-from oracles import cubic_residue_02_check, discrete_logs, m1_b_sign, overlap_y_sign
+from oracles import (CANONICAL_PAIRS, EQUALITY_ROWS, ORDER4_LAYOUT, ORDER4_ROWS,
+                     cubic_residue_02_check, discrete_logs, m1_b_sign, overlap_y_sign)
 
 
 def reduce_mod_phi12(poly):
@@ -294,6 +296,33 @@ def test_canonical_pairs_carry_their_own_label():
     for lab in cy.CANONICAL_LABELS:
         h, k = cy.label_to_pair(lab)
         assert cy.reduce_hk(h, k) == lab
+
+
+def test_derived_layouts_equal_the_transcription():
+    assert [lab for row in cy.EQUALITY_TABLE for lab in row] == EQUALITY_ROWS
+    assert cy.CANONICAL_LABELS == tuple(cy.pair_to_label(h, k) for h, k in CANONICAL_PAIRS)
+    assert cy.ORDER4_MATRIX == tuple(tuple(ORDER4_ROWS[v] for v in line)
+                                     for line in ORDER4_LAYOUT)
+    assert len(np.unique(cy.orbit_representatives(4))) == 5
+    assert len(np.unique(cy.orbit_representatives(12))) == 31
+    with pytest.raises(ValueError):
+        cy.orbit_representatives(3)
+
+
+# Every odd prime below 20,000 but q = 1 (mod 32) has an even d <= 16 with
+# d | q - 1 and f = (q - 1)/d odd: d = 2**v, 2**v the power of 2 in q - 1.
+F_ODD_PRIMES = [q for q in range(3, 20000, 2) if ff.is_prime(q) and (q - 1) % 32]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(F_ODD_PRIMES))
+@example(13)    # d = 4 and 12 at f = 3 and 1
+def test_counted_tables_are_constant_on_the_f_odd_orbits(q):
+    orders = [d for d in range(2, 17, 2) if (q - 1) % d == 0 and (q - 1) // d % 2]
+    assert orders
+    for d in orders:
+        table = cy.build_classes(q, d).table
+        assert np.array_equal(table, table.ravel()[cy.orbit_representatives(d)]), (q, d)
 
 
 # ---------------------------------------------------------------------------
