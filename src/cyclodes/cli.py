@@ -13,11 +13,16 @@ identical inputs give byte-identical outputs at any --workers count.
 
 Exit codes: 0 all checks pass, 1 a check ran and failed, 2 usage or
 precondition error.
+
+`main` may be called repeatedly in one process: it builds its parser once
+(argparse keeps no per-call state in it) and gives every call a fresh
+namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -34,7 +39,7 @@ ORACLE_Q_LIMIT = 1 << 13
 
 
 def _out(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -178,8 +183,6 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     if not Path(args.report_dir).is_dir():
         raise ValueError(f"--report-dir {args.report_dir} is not a directory")
-    if args.output and not Path(args.output).parent.is_dir():
-        raise ValueError(f"--output {args.output}: its directory does not exist")
     report = search.cross_prime_family_report(
         args.d, args.bound, args.include_zero, workers=args.workers)
     out_lines = [h.to_json() for h in report.hits]
@@ -261,7 +264,10 @@ def cmd_sequence(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; callers share it, so none
+    may change it."""
     p = argparse.ArgumentParser(prog="cyclodes",
                                 description="cyclotomic ADS constructions: "
                                             "verify, search, and emit sequences")
@@ -324,6 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # every subcommand has --output; refuse a missing directory before any work
+        if args.output and not Path(args.output).parent.is_dir():
+            raise ValueError(f"--output {args.output}: its directory does not exist")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

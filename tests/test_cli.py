@@ -400,17 +400,22 @@ def test_search_rejects_missing_report_dir_before_sweeping(tmp_path, monkeypatch
 
 
 def test_output_into_missing_directory_is_an_error(tmp_path, monkeypatch, capsys):
-    # search checks the directory of --output before any prime is swept
-    from cyclodes import search
+    # every command checks the directory of --output before any table is
+    # built or any prime is swept
+    from cyclodes import cyclotomy, search
     counts = count_calls(monkeypatch, search, "cross_prime_family_report")
+    counts.update(count_calls(monkeypatch, cyclotomy, "build_classes"))
     target = tmp_path / "missing" / "hits.jsonl"
     for argv in (["search", "--d", "4", "--bound", "40", "--report-dir", str(tmp_path)],
-                 ["classes", "--q", "13", "--d", "4"]):
+                 ["classes", "--q", "13", "--d", "4"],
+                 ["cycnums", "--q", "13", "--d", "12"],
+                 ["verify", "--q", "37", "--order", "12"],
+                 ["sequence", "--q", "13", "--order", "12", "--recipe", "A,E"]):
         code, out, err = run(capsys, *argv, "--output", str(target))
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and str(target) in err
+        assert err == f"error: --output {target}: its directory does not exist\n"
         assert "Traceback" not in err
-    assert counts == {"cross_prime_family_report": 0}
+    assert counts == {"cross_prime_family_report": 0, "build_classes": 0}
     assert not (tmp_path / "family_report_d4.csv").exists()
 
 
@@ -627,6 +632,40 @@ def test_output_file(tmp_path, capsys):
                        "--output", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["q"] == 13
+
+
+def test_the_shared_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    # main parses every call with one parser per process
+    import argparse
+    cli.build_parser.cache_clear()
+    argv = ("verify", "--q", "37", "--order", "12")
+    first = run(capsys, *argv)  # builds the parser
+    assert cli.build_parser() is cli.build_parser()
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, *argv, "--include-zero") != first
+    assert run(capsys, *argv) == first
+
+    target = tmp_path / "classes.json"
+    code, out, _ = run(capsys, "classes", "--q", "13", "--d", "4", "--output", str(target))
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, "classes", "--q", "13", "--d", "4")
+    assert code == 0 and out == target.read_text()
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cycnums", "--d", "12"])  # no --q
+    assert exc.value.code == 2
+    assert "--q" in capsys.readouterr().err
+    code, out, _ = run(capsys, "cycnums", "--q", "13", "--d", "12")
+    assert code == 0 and json.loads(out)["q"] == 13
+    assert built == []
 
 
 def test_cache_env_is_ignored(tmp_path, monkeypatch, capsys):
