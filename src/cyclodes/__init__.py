@@ -12,7 +12,7 @@ from .adsets import (CharacteristicSet, DifferenceSpectrum, SetClassification,
 from .cyclotomy import (CaseClassification, CyclotomicSystem,
                         QuadraticPartition, build_classes, c_parameter, classify_case,
                         cyclotomic_numbers, jacobi_sum, m1_predicted,
-                        quadratic_partitions, reduce_hk, resolve_signs, stratum_spectrum)
+                        quadratic_partitions, resolve_signs, stratum_spectrum)
 from .dhm import (Recipe, build, calibrate_order12, corollary_triples, predicted_dI,
                   predicted_dIJ, theorem12_pairs, theorem_parameters, triple_recipe,
                   verify_family)

@@ -101,7 +101,7 @@ def cmd_cycnums(args) -> int:
                 m1_status = f"case = {case.case_number} != 1, skipped"
             else:
                 # resolve_signs raises unless M1_MATRIX, at the congruence
-                # signs of y and B, reproduces all 31 counted numbers
+                # signs of y and B, reproduces the counted table
                 cyclotomy.resolve_signs(sys_, cyclotomy.quadratic_partitions(args.q))
                 checks["m1_matrix"] = True
                 m1_status = "PASS"

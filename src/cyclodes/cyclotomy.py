@@ -1,6 +1,6 @@
-"""Cyclotomic classes, exact cyclotomic numbers, Jacobi sums, the order-12
-reference data (equality table and case-1 coefficient matrix), and the
-classical order-4 numbers.
+"""Cyclotomic classes, exact cyclotomic numbers, Jacobi sums, and the
+closed-form tables of the case-1 order-12 and the classical order-4
+cyclotomic numbers.
 
 Definitions, for q = d*f + 1 prime and g the fixed primitive root:
 
@@ -26,9 +26,12 @@ Definitions, for q = d*f + 1 prime and g the fixed primitive root:
     count of the tests stay independent checks.
   * For f odd, d is even and also (h,k)_d = (-h, k-h)_d (Whiteman 1960).
     orbit_representatives(d) maps each cell to the least member of its
-    orbit under that and the mirror.  EQUALITY_TABLE, CANONICAL_LABELS and
-    the layout of ORDER4_MATRIX are derived from it, not typed in.  The
+    orbit under that and the mirror: 31 orbits at d = 12, 5 at d = 4.  The
     mirror holds by construction, so (-h, k-h) is the independent check.
+  * The closed forms are coefficient rows keyed by those least cells:
+    M1_MATRIX in order-12 case 1 (Whiteman 1960) and _ORDER4_ROWS (Storer
+    1967).  closed_form_table evaluates both into a whole (d, d) table in
+    the layout of sys.table, so resolve_signs compares all 144 cells.
   * assemble_strata is the one layout of a product set's 2d + 1 difference
     strata, filled from a table's class sums (stratum_distance):
     stratum_spectrum reads the counted table, dhm.predicted_spectrum the
@@ -145,11 +148,10 @@ def build_classes(q: int, d: int, g: int | None = None) -> CyclotomicSystem:
     # the labels (k0 + i) mod d, and their negatives (k0 + i + e) mod d:
     # slices, from k0 mod d and from e further, of one tile of 0 .. d-1
     # repeated, long enough for any block at any offset (and never longer
-    # than c + e, where f = 1 needs all of it), rounded up to a power of
-    # two, so that primes of about the same size share one cached tile.
+    # than c + e, where f = 1 needs all of it).
     dtype = np.min_scalar_type(-d)
     need = min(d - 1 + index.block_size, c) + e
-    labels = _label_tile(d, dtype, 1 << (need - 1).bit_length())
+    labels = np.tile(np.arange(d, dtype=dtype), -(-need // d))
     class_of = np.empty(q, dtype)
     class_of[0] = -1
     for k0, powers in index.blocks():
@@ -160,15 +162,6 @@ def build_classes(q: int, d: int, g: int | None = None) -> CyclotomicSystem:
     class_of.flags.writeable = False
     return CyclotomicSystem(q=q, d=d, f=(q - 1) // d, g=g, index=index,
                             class_of=class_of)
-
-
-@lru_cache(maxsize=32)
-def _label_tile(d: int, dtype: np.dtype, size: int) -> np.ndarray:
-    """0 .. d-1 repeated, at least size entries, as a read-only array of
-    dtype; built once per order and size."""
-    tile = np.tile(np.arange(d, dtype=dtype), -(-size // d))
-    tile.flags.writeable = False
-    return tile
 
 
 @lru_cache(maxsize=32)
@@ -475,119 +468,86 @@ def classify_case(sys: CyclotomicSystem) -> CaseClassification:
 
 
 # ---------------------------------------------------------------------------
-# equality table: the 144 order-12 numbers reduce to 31 for f odd
+# closed-form tables: (h,k)_d = row . vec / scale on the f-odd orbits
 # ---------------------------------------------------------------------------
 
-# (h,k)_12 is labelled by h and k as one character: "hX" is (h,10), "hY" (h,11).
-_LABEL_DIGITS = "0123456789XY"
+def closed_form_table(rows, d: int, vec, scale: int, q: int) -> np.ndarray:
+    """The (d, d) table of a coefficient matrix for f odd: rows maps the
+    least cell (h, k) of each f-odd orbit to its row, the orbit's value is
+    row . vec / scale, and every cell takes the value of its orbit
+    (orbit_representatives).  Returned as a read-only int64 array,
+    table[h, k] = (h,k)_d, the layout of sys.table.
+
+    Every value must be a nonnegative integer, else ArithmeticError: a
+    non-integral result means a wrong partition, sign or case.
+    """
+    values = np.zeros(d * d, dtype=np.int64)
+    for (h, k), row in rows.items():
+        num = sum(c * v for c, v in zip(row, vec))
+        if num % scale != 0 or num < 0:
+            raise ArithmeticError(f"{scale}*({h},{k})_{d} = {num} not a nonnegative "
+                                  f"multiple of {scale} at q={q}")
+        values[h * d + k] = num // scale
+    table = values[orbit_representatives(d)]
+    table.flags.writeable = False
+    return table
 
 
-def label_to_pair(label: str) -> tuple[int, int]:
-    return int(label[0]), _LABEL_DIGITS.index(label[1])
-
-
-def pair_to_label(h: int, k: int) -> str:
-    return f"{h}{_LABEL_DIGITS[k]}"
-
-
-def reduce_hk(h: int, k: int) -> str:
-    """Canonical label of (h,k)_12 among the 31 distinct numbers (f odd)."""
-    if not (0 <= h < 12 and 0 <= k < 12):
-        raise ValueError("class indices must lie in [0, 12)")
-    return EQUALITY_TABLE[h][k]
-
-
-# EQUALITY_TABLE[h][k] labels the least member of the orbit of (h, k);
-# CANONICAL_LABELS labels the 31 least members in (h,k) lexicographic order,
-# the cells that are their own representative (a plain np.unique would
-# import numpy.ma, about 16 ms, at import).
-EQUALITY_TABLE: tuple[tuple[str, ...], ...] = tuple(
-    tuple(pair_to_label(*divmod(r, 12)) for r in line)
-    for line in orbit_representatives(12).tolist())
-_CANONICAL_CELLS = np.flatnonzero(orbit_representatives(12).ravel() == np.arange(144))
-CANONICAL_LABELS: tuple[str, ...] = tuple(
-    pair_to_label(*divmod(r, 12)) for r in _CANONICAL_CELLS.tolist())
-
-
-# ---------------------------------------------------------------------------
-# case-1 coefficient matrix: 144*(h,k)_12 = row . (q, A, B, x, y, 1)
-# ---------------------------------------------------------------------------
-
-# Validated end-to-end against exhaustive counts at every case-1 prime tested
-# (the matrix satisfies sum-over-cells = 144q - 288 and the per-row-sum
-# identities exactly; see tests).
-M1_MATRIX: dict[str, tuple[int, int, int, int, int, int]] = {
-    "00": (1, -6, 0, 0, -16, -23),
-    "01": (1, 4, 24, -18, -24, 1),
-    "02": (1, -2, -24, -12, 0, 1),
-    "03": (1, 18, 0, 0, 32, 1),
-    "04": (1, -12, 0, 6, -16, 1),
-    "05": (1, -2, -24, -12, 0, 1),
-    "06": (1, -14, 24, 0, 48, 1),
-    "07": (1, 12, 0, 6, 8, 1),
-    "08": (1, 6, 0, 12, -16, 1),
-    "09": (1, -14, 0, 0, 0, 1),
-    "0X": (1, 4, 0, 6, 0, 1),
-    "0Y": (1, 6, 0, 12, -16, 1),
-    "10": (1, 0, 12, 6, 8, -11),
-    "11": (1, 6, 0, 0, 8, -11),
-    "12": (1, -12, 0, 6, -16, 1),
-    "13": (1, 4, -12, 6, -24, 1),
-    "14": (1, 6, 36, -12, -16, 1),
-    "15": (1, 0, -12, -6, 8, 1),
-    "19": (1, -12, 12, 6, 8, 1),
-    "1X": (1, -6, 0, 0, 8, 1),
-    "1Y": (1, 4, 0, 6, 0, 1),
-    "20": (1, 6, 0, 0, 8, -11),
-    "21": (1, 0, -12, -6, 8, 1),
-    "22": (1, -12, 0, -6, 8, -11),
-    "23": (1, -6, 0, 0, 8, 1),
-    "24": (1, 12, 0, 6, 8, 1),
-    "2Y": (1, 0, -24, -6, -16, 1),
-    "30": (1, 6, -12, 0, -16, -11),
-    "31": (1, 0, 0, -6, 32, 1),
-    "32": (1, -2, 12, 12, 0, 1),
-    "42": (1, 4, 24, -18, -24, 1),
+# Case-1 coefficient matrix, 144*(h,k)_12 = row . (q, A, B, x, y, 1) (Whiteman
+# 1960), keyed by the 31 orbits' least members.  Validated end-to-end against
+# exhaustive counts at every case-1 prime tested (the matrix satisfies
+# sum-over-cells = 144q - 288 and the per-row-sum identities exactly; see
+# tests).
+M1_MATRIX: dict[tuple[int, int], tuple[int, int, int, int, int, int]] = {
+    (0, 0): (1, -6, 0, 0, -16, -23),
+    (0, 1): (1, 4, 24, -18, -24, 1),
+    (0, 2): (1, -2, -24, -12, 0, 1),
+    (0, 3): (1, 18, 0, 0, 32, 1),
+    (0, 4): (1, -12, 0, 6, -16, 1),
+    (0, 5): (1, -2, -24, -12, 0, 1),
+    (0, 6): (1, -14, 24, 0, 48, 1),
+    (0, 7): (1, 12, 0, 6, 8, 1),
+    (0, 8): (1, 6, 0, 12, -16, 1),
+    (0, 9): (1, -14, 0, 0, 0, 1),
+    (0, 10): (1, 4, 0, 6, 0, 1),
+    (0, 11): (1, 6, 0, 12, -16, 1),
+    (1, 0): (1, 0, 12, 6, 8, -11),
+    (1, 1): (1, 6, 0, 0, 8, -11),
+    (1, 2): (1, -12, 0, 6, -16, 1),
+    (1, 3): (1, 4, -12, 6, -24, 1),
+    (1, 4): (1, 6, 36, -12, -16, 1),
+    (1, 5): (1, 0, -12, -6, 8, 1),
+    (1, 9): (1, -12, 12, 6, 8, 1),
+    (1, 10): (1, -6, 0, 0, 8, 1),
+    (1, 11): (1, 4, 0, 6, 0, 1),
+    (2, 0): (1, 6, 0, 0, 8, -11),
+    (2, 1): (1, 0, -12, -6, 8, 1),
+    (2, 2): (1, -12, 0, -6, 8, -11),
+    (2, 3): (1, -6, 0, 0, 8, 1),
+    (2, 4): (1, 12, 0, 6, 8, 1),
+    (2, 11): (1, 0, -24, -6, -16, 1),
+    (3, 0): (1, 6, -12, 0, -16, -11),
+    (3, 1): (1, 0, 0, -6, 32, 1),
+    (3, 2): (1, -2, 12, 12, 0, 1),
+    (4, 2): (1, 4, 24, -18, -24, 1),
 }
 
 
-def m1_predicted(q: int, part: QuadraticPartition) -> dict[str, int]:
-    """The 31 case-1 values from the coefficient matrix.
+def m1_predicted(q: int, part: QuadraticPartition) -> np.ndarray:
+    """The case-1 order-12 table from M1_MATRIX, through closed_form_table.
 
-    Needs y_signed and B_signed resolved.  Every entry must come out a
-    nonnegative integer; a non-integral result means wrong case or signs.
+    Needs y_signed and B_signed resolved.
     """
     if part.y_signed is None or part.B_signed is None:
         raise ValueError("m1_predicted needs resolved y and B signs")
     vec = (q, part.A, part.B_signed, part.x, part.y_signed, 1)
-    return {label: _exact_cell(row, vec, 144, label, q) for label, row in M1_MATRIX.items()}
+    return closed_form_table(M1_MATRIX, 12, vec, 144, q)
 
 
-def _exact_cell(row, vec, scale: int, label: str, q: int) -> int:
-    """row . vec / scale, which must be a nonnegative integer, else
-    ArithmeticError."""
-    num = sum(c * v for c, v in zip(row, vec))
-    if num % scale != 0 or num < 0:
-        raise ArithmeticError(
-            f"{scale}*({label}) = {num} not a nonnegative multiple of {scale} at q={q}")
-    return num // scale
-
-
-def brute_force_canonical(table: np.ndarray) -> dict[str, int]:
-    """Exact values of the 31 canonical numbers from a full order-12 table."""
-    if table.shape != (12, 12):
-        raise ValueError("canonical labels are defined for order 12")
-    return dict(zip(CANONICAL_LABELS, table.ravel()[_CANONICAL_CELLS].tolist()))
-
-
-# ---------------------------------------------------------------------------
-# order-4 coefficient matrix: 16*(h,k)_4 = row . (q, s, t, 1), f odd
-# ---------------------------------------------------------------------------
-
-# The classical five values for q = 4f + 1, f odd (Storer, Cyclotomy and
-# Difference Sets, 1967), with s = x and t = y_signed as resolve_signs pins
-# it, keyed by the five orbits' least members; ORDER4_MATRIX[h][k] is the
-# row of (h,k)_4.
+# The classical five order-4 values for q = 4f + 1, f odd, 16*(h,k)_4 =
+# row . (q, s, t, 1) (Storer, Cyclotomy and Difference Sets, 1967), with
+# s = x and t = y_signed as resolve_signs pins it, keyed by the five orbits'
+# least members.
 _ORDER4_ROWS = {
     (0, 0): (1, 2, 0, -7),
     (0, 1): (1, 2, -8, 1),
@@ -596,26 +556,18 @@ _ORDER4_ROWS = {
     (1, 0): (1, -2, 0, -3),
 }
 
-ORDER4_MATRIX: tuple[tuple[tuple[int, int, int, int], ...], ...] = tuple(
-    tuple(_ORDER4_ROWS[divmod(r, 4)] for r in line)
-    for line in orbit_representatives(4).tolist())
-
 
 def order4_numbers(part: QuadraticPartition) -> list[list[int]]:
-    """The 16 order-4 numbers at q = part.q = 5 (mod 8) from ORDER4_MATRIX,
-    as rows[h][k] = (h,k)_4, the layout of sys.table.tolist().
-
-    Needs x and y_signed resolved.  Every entry must come out a nonnegative
-    integer; a non-integral result means wrong partition or sign.
+    """The 16 order-4 numbers at q = part.q = 5 (mod 8) from _ORDER4_ROWS,
+    through closed_form_table, as rows[h][k] = (h,k)_4, the layout of
+    sys.table.tolist().  Needs x and y_signed resolved.
     """
     q = part.q
     if part.x is None or part.y_signed is None:
         raise ValueError("the order-4 numbers need s = x and a resolved t = y sign")
     if q % 8 != 5:
         raise ValueError(f"the order-4 matrix needs q = 5 (mod 8), not q={q}")
-    vec = (q, part.x, part.y_signed, 1)
-    return [[_exact_cell(row, vec, 16, f"{h},{k}", q) for k, row in enumerate(line)]
-            for h, line in enumerate(ORDER4_MATRIX)]
+    return closed_form_table(_ORDER4_ROWS, 4, (q, part.x, part.y_signed, 1), 16, q).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +593,8 @@ def resolve_signs(sys: CyclotomicSystem, part: QuadraticPartition) -> QuadraticP
     (Berndt, Evans and Williams, Gauss and Jacobi Sums, 1998).  Neither sign
     is fitted to the counts that check it: at order 4 the hit triples do
     (dhm.match_order4_conditions).  In order-12 case 1 the coefficient matrix
-    checks the pinned signs: m1_predicted must reproduce the 31 canonical
-    numbers of the exhaustive table sys.table, else ArithmeticError.
+    checks the pinned signs: m1_predicted must reproduce all 144 cells of the
+    exhaustive table sys.table, else ArithmeticError.
     """
     if sys.d not in (4, 12) or sys.f % 2 == 0:
         raise ValueError("sign resolution requires order 4 or 12 with f odd")
@@ -654,6 +606,6 @@ def resolve_signs(sys: CyclotomicSystem, part: QuadraticPartition) -> QuadraticP
     out = replace(out, B_signed=congruence_sign(part.A, part.B_abs,
                                                 2 * pow(g, (q - 1) // 3, q) + 1, q))
     if classify_case(sys).case_number == 1 \
-            and m1_predicted(q, out) != brute_force_canonical(sys.table):
+            and not np.array_equal(m1_predicted(q, out), sys.table):
         raise ArithmeticError(f"M1_MATRIX does not reproduce the counts at case-1 prime q={q}")
     return out

@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from cyclodes.adsets import CharacteristicSet
-from cyclodes.cyclotomy import (CyclotomicSystem, QuadraticPartition, brute_force_canonical,
-                                m1_predicted, stratum_distance, zero_term)
+from cyclodes.cyclotomy import (CyclotomicSystem, QuadraticPartition, m1_predicted,
+                                stratum_distance, zero_term)
 from cyclodes.ff import IndexTable
 
 
@@ -98,12 +98,11 @@ def overlap_y_sign(sys: CyclotomicSystem, y_abs: int) -> int:
 
 def m1_b_sign(sys: CyclotomicSystem, part: QuadraticPartition) -> int:
     """The one B in {B_abs, -B_abs} for which M1_MATRIX, at part.y_signed,
-    reproduces the 31 canonical numbers of the table of a case-1 system."""
-    actual = brute_force_canonical(sys.table)
+    reproduces the whole table of a case-1 system."""
     fits = []
     for b in (part.B_abs, -part.B_abs):
         try:
-            if m1_predicted(sys.q, replace(part, B_signed=b)) == actual:
+            if np.array_equal(m1_predicted(sys.q, replace(part, B_signed=b)), sys.table):
                 fits.append(b)
         except ArithmeticError:
             pass

@@ -53,8 +53,8 @@ def test_cycnums_check_m1_fails_on_a_corrupted_matrix_row(monkeypatch, capsys):
     # comparison with the counted table can catch it
     from cyclodes import cyclotomy
 
-    row = cyclotomy.M1_MATRIX["09"]
-    monkeypatch.setitem(cyclotomy.M1_MATRIX, "09", row[:5] + (row[5] + 144,))
+    row = cyclotomy.M1_MATRIX[0, 9]
+    monkeypatch.setitem(cyclotomy.M1_MATRIX, (0, 9), row[:5] + (row[5] + 144,))
     code, out, err = run(capsys, "cycnums", "--q", "13", "--d", "12", "--check-m1")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("check failed: ")
@@ -508,6 +508,19 @@ def test_serial_cli_does_not_load_process_pool():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True, env={"PYTHONPATH": ":".join(sys.path)})
     assert done.stdout.strip() == "[]"
+
+
+def test_import_and_parser_build_no_tables():
+    # importing the CLI and building its parser fills none of the layout caches
+    import subprocess
+    import sys
+    probe = ("import cyclodes.cli; cyclodes.cli.build_parser(); "
+             "from cyclodes import cyclotomy, dhm; "
+             "print([f.cache_info().currsize for f in (cyclotomy.orbit_representatives, "
+             "cyclotomy._mirror_index, dhm._subset_members)])")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env={"PYTHONPATH": ":".join(sys.path)})
+    assert done.stdout.strip() == "[0, 0, 0]"
 
 
 @pytest.mark.parametrize("argv", [

@@ -45,13 +45,15 @@ def hermitian_square(z) -> int:
     return prod[0]
 
 
-def label_multiplicities() -> dict[str, int]:
-    """How often each canonical label occurs among the 144 cells."""
-    mult: dict[str, int] = {}
-    for row in cy.EQUALITY_TABLE:
-        for lab in row:
-            mult[lab] = mult.get(lab, 0) + 1
-    return mult
+def orbit_sizes(d: int) -> np.ndarray:
+    """sizes[r]: how many of the d*d cells have the flat representative r."""
+    return np.bincount(cy.orbit_representatives(d).ravel(), minlength=d * d)
+
+
+def expanded_rows(rows: dict, d: int) -> list[list[tuple[int, ...]]]:
+    """The coefficient row of every cell (h, k), read at its representative."""
+    return [[rows[divmod(r, d)] for r in line]
+            for line in cy.orbit_representatives(d).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -266,43 +268,47 @@ def test_classify_case_rejects_f_even():
 # equality table
 # ---------------------------------------------------------------------------
 
-def test_reduce_hk_examples():
-    assert cy.reduce_hk(6, 4) == "22"
-    assert cy.reduce_hk(4, 10) == "02"
-    assert cy.reduce_hk(0, 5) == "05"
+def test_orbit_representative_examples():
+    rep = cy.orbit_representatives(12)
+    assert divmod(int(rep[6, 4]), 12) == (2, 2)
+    assert divmod(int(rep[4, 10]), 12) == (0, 2)
+    assert divmod(int(rep[0, 5]), 12) == (0, 5)
 
 
 def test_equality_table_shape():
-    mult = label_multiplicities()
-    assert set(mult) == set(cy.CANONICAL_LABELS)
-    assert sum(mult.values()) == 144
-    assert mult["06"] == 1 and mult["42"] == 2
-    assert all(mult[lab] == 3 for lab in cy.CANONICAL_LABELS
-               if lab[0] == "0" and lab not in ("06",))
-    assert all(mult[lab] == 6 for lab in cy.CANONICAL_LABELS if lab[0] in "123")
+    sizes = orbit_sizes(12)
+    cells = np.flatnonzero(sizes)
+    assert cells.tolist() == [h * 12 + k for h, k in CANONICAL_PAIRS]
+    assert sizes.sum() == 144
+    assert sizes[6] == 1 and sizes[4 * 12 + 2] == 2
+    assert all(sizes[r] == 3 for r in cells if r < 12 and r != 6)
+    assert all(sizes[r] == 6 for r in cells if 1 <= r // 12 <= 3)
+    assert np.bincount(sizes[cells]).tolist() == [0, 1, 1, 11, 0, 0, 18]
 
 
 def test_equality_table_on_counts():
+    rep = cy.orbit_representatives(12)
     for q in (13, 37, 61, 109):
         s = cy.build_classes(q, 12)
         t = cy.cyclotomic_numbers(s)
-        for h in range(12):
-            for k in range(12):
-                ch, ck = cy.label_to_pair(cy.reduce_hk(h, k))
-                assert t[h, k] == t[ch, ck]
+        assert np.array_equal(t, t.ravel()[rep]), q
 
 
 def test_canonical_pairs_carry_their_own_label():
-    for lab in cy.CANONICAL_LABELS:
-        h, k = cy.label_to_pair(lab)
-        assert cy.reduce_hk(h, k) == lab
+    rep = cy.orbit_representatives(12)
+    for h, k in CANONICAL_PAIRS:
+        assert rep[h, k] == h * 12 + k
 
 
 def test_derived_layouts_equal_the_transcription():
-    assert [lab for row in cy.EQUALITY_TABLE for lab in row] == EQUALITY_ROWS
-    assert cy.CANONICAL_LABELS == tuple(cy.pair_to_label(h, k) for h, k in CANONICAL_PAIRS)
-    assert cy.ORDER4_MATRIX == tuple(tuple(ORDER4_ROWS[v] for v in line)
-                                     for line in ORDER4_LAYOUT)
+    digits = "0123456789XY"
+    assert [f"{r // 12}{digits[r % 12]}" for r in cy.orbit_representatives(12).ravel().tolist()] \
+        == EQUALITY_ROWS
+    # the matrices are keyed by exactly the 31 and 5 representative cells
+    for rows, d in ((cy.M1_MATRIX, 12), (cy._ORDER4_ROWS, 4)):
+        assert sorted(rows) == [divmod(r, d) for r in np.flatnonzero(orbit_sizes(d))]
+    assert expanded_rows(cy._ORDER4_ROWS, 4) == [[ORDER4_ROWS[v] for v in line]
+                                                  for line in ORDER4_LAYOUT]
     assert len(np.unique(cy.orbit_representatives(4))) == 5
     assert len(np.unique(cy.orbit_representatives(12))) == 31
     with pytest.raises(ValueError):
@@ -332,29 +338,25 @@ def test_counted_tables_are_constant_on_the_f_odd_orbits(q):
 def test_m1_global_identities():
     # multiplicity-weighted sum over all 144 cells must equal 144q - 288
     # (total q - 2), and each coefficient of A, B, x, y must cancel.
-    mult = label_multiplicities()
+    sizes = orbit_sizes(12)
     acc = [0] * 6
-    for lab, row in cy.M1_MATRIX.items():
+    for (h, k), row in cy.M1_MATRIX.items():
         for i, c in enumerate(row):
-            acc[i] += mult[lab] * c
+            acc[i] += int(sizes[h * 12 + k]) * c
     assert acc == [144, 0, 0, 0, 0, -288]
 
 
 def test_m1_row_sum_identities():
     # sum_k 144*(h,k) = 12(q-1) - 144*[h=6]
-    for h in range(12):
-        acc = [0] * 6
-        for k in range(12):
-            row = cy.M1_MATRIX[cy.reduce_hk(h, k)]
-            acc = [a + c for a, c in zip(acc, row)]
+    for h, line in enumerate(expanded_rows(cy.M1_MATRIX, 12)):
         want_const = -12 - (144 if h == 6 else 0)
-        assert acc == [12, 0, 0, 0, 0, want_const], h
+        assert [sum(col) for col in zip(*line)] == [12, 0, 0, 0, 0, want_const], h
 
 
 def test_m1_example_rows():
-    assert cy.M1_MATRIX["00"] == (1, -6, 0, 0, -16, -23)
-    assert cy.M1_MATRIX["03"] == (1, 18, 0, 0, 32, 1)
-    assert cy.M1_MATRIX["42"] == (1, 4, 24, -18, -24, 1)
+    assert cy.M1_MATRIX[0, 0] == (1, -6, 0, 0, -16, -23)
+    assert cy.M1_MATRIX[0, 3] == (1, 18, 0, 0, 32, 1)
+    assert cy.M1_MATRIX[4, 2] == (1, 4, 24, -18, -24, 1)
 
 
 def test_m1_matches_counts_q13():
@@ -363,10 +365,10 @@ def test_m1_matches_counts_q13():
     assert part.y_signed == -1
     assert part.B_signed == 2
     predicted = cy.m1_predicted(13, part)
-    actual = cy.brute_force_canonical(cy.cyclotomic_numbers(s))
-    assert predicted == actual
-    # in case 1 the labels 02/05 (and a few others) coincide numerically
-    assert predicted["02"] == predicted["05"]
+    assert predicted.dtype == np.int64 and not predicted.flags.writeable
+    assert np.array_equal(predicted, cy.cyclotomic_numbers(s))
+    # in case 1 the cells (0,2) and (0,5) (and a few others) coincide numerically
+    assert predicted[0, 2] == predicted[0, 5]
 
 
 def test_m1_requires_signs():
@@ -375,9 +377,29 @@ def test_m1_requires_signs():
         cy.m1_predicted(13, part)
 
 
+def test_case1_check_reads_all_144_cells(monkeypatch):
+    # (2,9) and (8,3) lie in no representative cell and differ at q = 13.
+    # Swapping them keeps J(3,1) and J(5,1), so the case stays 1, but the
+    # table no longer equals M1_MATRIX's.
+    count = cy.cyclotomic_numbers
+
+    def swapped(sys_):
+        table = count(sys_).copy()
+        table[2, 9], table[8, 3] = table[8, 3], table[2, 9]
+        return table
+
+    monkeypatch.setattr(cy, "cyclotomic_numbers", swapped)
+    for q in (13, 709, 757):
+        s = cy.build_classes(q, 12)
+        assert s.table[2, 9] != s.table[8, 3]
+        assert cy.classify_case(s).case_number == 1
+        with pytest.raises(ArithmeticError, match=f"q={q}"):
+            cy.resolve_signs(s, cy.quadratic_partitions(q))
+
+
 def test_order4_matrix_row_sums():
     # sum_k 16*(h,k)_4 = 4(q-1) - 16*[h=2]: -1 lies in class 2 (f odd)
-    for h, line in enumerate(cy.ORDER4_MATRIX):
+    for h, line in enumerate(expanded_rows(cy._ORDER4_ROWS, 4)):
         assert [sum(col) for col in zip(*line)] == [4, 0, 0, -4 - 16 * (h == 2)], h
 
 

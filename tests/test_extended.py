@@ -6,6 +6,7 @@ Opt in with CYCLODES_EXTENDED=1; the default suite keeps the spec'd ranges.
 
 import os
 
+import numpy as np
 import pytest
 
 from cyclodes import cyclotomy, dhm, ff
@@ -31,8 +32,8 @@ def test_m1_matrix_to_5000():
             continue
         case1.append(q)
         part = cyclotomy.resolve_signs(s, cyclotomy.quadratic_partitions(q))
-        assert cyclotomy.m1_predicted(q, part) == \
-            cyclotomy.brute_force_canonical(cyclotomy.cyclotomic_numbers(s)), q
+        assert np.array_equal(cyclotomy.m1_predicted(q, part),
+                              cyclotomy.cyclotomic_numbers(s)), q
     assert case1 == [13, 709, 757, 1117, 1213, 2029, 2557, 3253, 3637, 3733, 4021]
 
 

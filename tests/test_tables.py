@@ -276,7 +276,10 @@ def test_scalars_are_python_ints():
     for hist in (cyclotomy.stratum_spectrum(s, {0, 1, 4, 5, 8, 9}, {0, 2, 4, 6, 8, 10}, z)
                  for z in (False, True)):
         values += [*hist, *hist.values()]
-    values += cyclotomy.brute_force_canonical(s.table).values()
+    part4 = cyclotomy.resolve_signs(cyclotomy.build_classes(13, 4),
+                                    cyclotomy.quadratic_partitions(13))
+    for row in cyclotomy.order4_numbers(part4):
+        values += row
     for m, n in ((1, 1), (3, 1), (5, 1)):
         values += cyclotomy.jacobi_sum(s, m, n)
     case = cyclotomy.classify_case(s)
