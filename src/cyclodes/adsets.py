@@ -14,7 +14,11 @@ element (0,0), when present, is simply residue 0 inside the 0-slice.
 difference_function is the one direct count: it writes each slice as a bool
 indicator of length q and counts, shift by shift, the x with a[x] and
 b[x + w], exactly, and never reads a cyclotomic-number table, so it is the
-independent oracle that the table routes are checked against.
+independent oracle that the table routes are checked against.  The
+same-slice count is even in w (a pair at difference w, read backwards, is
+one at -w), so it is counted for w in 0 .. q//2 and mirrored.  The
+part0-to-part1 count is not even in w (only its sum with the part1-to-part0
+count is), so it is counted at all q shifts.
 distance_spectrum is its histogram; distance_at counts one shift in O(k) for
 callers that need only a few.
 """
@@ -43,7 +47,7 @@ class CharacteristicSet:
 
     def __post_init__(self):
         for part in (self.part0, self.part1):
-            if any(not 0 <= a < self.q for a in part):
+            if part and not (0 <= min(part) and max(part) < self.q):
                 raise ValueError("slice members must be residues mod q")
 
     @property
@@ -107,8 +111,10 @@ def difference_function(cset: CharacteristicSet) -> tuple[np.ndarray, np.ndarray
     """
     q = cset.q
     p0, p1 = _indicator(cset.part0, q), _indicator(cset.part1, q)
-    same = _shift_counts(p0, p0) + _shift_counts(p1, p1)
-    forward = _shift_counts(p0, p1)              # part1 - part0; part0 - part1 is its negation
+    half = q // 2 + 1                            # w in 0 .. q//2; same is even in w
+    same = _shift_counts(p0, p0, half) + _shift_counts(p1, p1, half)
+    same = np.concatenate((same, same[(q - 1) // 2:0:-1]))   # same[q - w] = same[w]
+    forward = _shift_counts(p0, p1, q)           # part1 - part0; part0 - part1 is its negation
     return same, forward + forward[-np.arange(q) % q]
 
 
@@ -118,15 +124,15 @@ def _indicator(part: frozenset[int], q: int) -> np.ndarray:
     return bits
 
 
-def _shift_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """counts[w] = #{x : a[x] and b[x + w mod q]}, a block of shifts at a
-    time: row w of the q length-q windows over b + b[:-1] is b shifted by w,
-    and the windows are a view."""
+def _shift_counts(a: np.ndarray, b: np.ndarray, shifts: int) -> np.ndarray:
+    """counts[w] = #{x : a[x] and b[x + w mod q]} for w in 0 .. shifts-1, a
+    block of shifts at a time: row w of the length-q windows over
+    b + b[:shifts-1] is b shifted by w, and the windows are a view."""
     q = len(a)
-    windows = sliding_window_view(np.concatenate((b, b[:-1])), q)
+    windows = sliding_window_view(np.concatenate((b, b[:shifts - 1])), q)
     rows = max(1, DIFFERENCE_BLOCK // q)
-    counts = np.empty(q, dtype=np.int64)
-    for i in range(0, q, rows):
+    counts = np.empty(shifts, dtype=np.int64)
+    for i in range(0, shifts, rows):
         counts[i:i + rows] = np.count_nonzero(windows[i:i + rows] & a, axis=1)
     return counts
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import adsets, cyclotomy, dhm, search, seqkit
 
 # verify and sequence run the O(q^2) direct-count oracles (difference function,
-# autocorrelation): near this q, at q = 8101, they take 1.6 s and 0.26 s (README
+# autocorrelation): near this q, at q = 8101, they take 0.9 s and 0.13 s (README
 # "Cost"), and near 2**20 verify would take hours.
 ORACLE_Q_LIMIT = 1 << 13
 

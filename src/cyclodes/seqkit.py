@@ -16,7 +16,9 @@ assumed, wherever a sequence came from a set: autocorrelation sums the
 flattened Z_{2q} bits directly, in numpy blocks of shifts, and reads nothing
 but the bits; verify_ac_identity holds it against the set's difference
 function (adsets.difference_function), counted on Z2 x Zq.  The two sides
-share no code.
+share no code.  AC(tau) = AC(-tau), since the pairs (t, t + tau) are the
+pairs (t', t' - tau), so autocorrelation sums tau in 0 .. n//2 only and
+mirrors the rest.
 """
 
 from __future__ import annotations
@@ -114,19 +116,22 @@ def characteristic_sequence(support, n: int) -> BinarySequence:
 
 
 def autocorrelation(seq: BinarySequence) -> AutocorrelationProfile:
-    """AC by direct summation over all shifts, a block of shifts at a time.
+    """AC by direct summation over half the shifts, a block of shifts at a
+    time, mirrored to the rest by AC(n - tau) = AC(tau).
 
-    Row tau of the n length-n windows over bits + bits[:-1] is the sequence
+    Row tau of the length-n windows over bits + bits[:n//2] is the sequence
     shifted by tau, so its agreements with the bits count the t where
     s_t == s_{t+tau}, and AC(tau) = 2*agree - n.  The windows are a view.
     """
     n = seq.n
+    half = min(n, n // 2 + 1)                    # tau in 0 .. n//2; AC is even in tau
     bits = np.array(seq.bits, dtype=np.int8)
-    windows = sliding_window_view(np.concatenate((bits, bits[:-1])), n)
+    windows = sliding_window_view(np.concatenate((bits, bits[:half - 1])), n)
     rows = max(1, AC_BLOCK // max(n, 1))
     agree = np.empty(n, dtype=np.int64)
-    for i in range(0, n, rows):
-        agree[i:i + rows] = np.count_nonzero(windows[i:i + rows] == bits, axis=1)
+    for i in range(0, half, rows):
+        agree[i:min(i + rows, half)] = np.count_nonzero(windows[i:i + rows] == bits, axis=1)
+    agree[half:] = agree[(n - 1) // 2:0:-1]      # agree[n - tau] = agree[tau]
     return AutocorrelationProfile(values=tuple((2 * agree - n).tolist()))
 
 

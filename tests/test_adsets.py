@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclodes import adsets, cyclotomy, dhm, seqkit
+from cyclodes import adsets, cli, cyclotomy, dhm, ff, seqkit
 from cyclodes.adsets import CharacteristicSet
 from oracles import delta_term, difference_function_bincount, restricted_distance
 
@@ -119,10 +119,12 @@ def test_difference_function_equals_distance_at(case):
 @given(slice_sets(st.integers(1, 200)))
 @example((CharacteristicSet(q=1, part0=frozenset(), part1=frozenset({0})), 1))
 @example((CharacteristicSet(q=2, part0=frozenset({0, 1}), part1=frozenset({1})), 1))
+@example((CharacteristicSet(q=4, part0=frozenset({0, 2}), part1=frozenset({1, 2, 3})), 1))
 @example((CharacteristicSet(q=200, part0=frozenset({0, 3, 7}), part1=frozenset(range(200))), 5))
 def test_difference_function_equals_bincount_oracle(case):
     # q odd and even, one shift per block, a few shifts per block with a
-    # ragged last block, or one block for every shift
+    # ragged last block, or one block for every shift; at q = 2 and 4 the
+    # shift w = q/2 is its own mirror
     cset, block = case
     with mock.patch.object(adsets, "DIFFERENCE_BLOCK", block):
         same, cross = adsets.difference_function(cset)
@@ -201,8 +203,22 @@ def test_zero_pair_correction_identity():
 
 
 def test_membership_validation():
-    with pytest.raises(ValueError):
-        CharacteristicSet(q=7, part0=frozenset({7}), part1=frozenset())
+    for part0, part1 in (({7}, set()), (set(), {-1, 3}), (set(), {0, 7})):
+        with pytest.raises(ValueError):
+            CharacteristicSet(q=7, part0=frozenset(part0), part1=frozenset(part1))
+    assert CharacteristicSet(q=7, part0=frozenset({0, 6}), part1=frozenset()).k == 2
+
+
+def test_oracles_at_the_largest_prime_below_the_oracle_limit():
+    # the counted shifts meet their mirrors at the top of the range that
+    # verify and sequence accept: every shift of the full set meets 2q members
+    q = 8191
+    assert ff.is_prime(q) and not any(ff.is_prime(p) for p in range(q + 1, cli.ORACLE_Q_LIMIT))
+    full = frozenset(range(q))
+    same, cross = adsets.difference_function(CharacteristicSet(q=q, part0=full, part1=full))
+    assert same.tolist() == cross.tolist() == [2 * q] * q
+    values = seqkit.autocorrelation(seqkit.BinarySequence((1,) * (2 * q))).values
+    assert values == (2 * q,) * (2 * q)
 
 
 def imports_of(module) -> dict[str, set[str]]:

@@ -286,14 +286,6 @@ def test_equality_table_shape():
     assert np.bincount(sizes[cells]).tolist() == [0, 1, 1, 11, 0, 0, 18]
 
 
-def test_equality_table_on_counts():
-    rep = cy.orbit_representatives(12)
-    for q in (13, 37, 61, 109):
-        s = cy.build_classes(q, 12)
-        t = cy.cyclotomic_numbers(s)
-        assert np.array_equal(t, t.ravel()[rep]), q
-
-
 def test_canonical_pairs_carry_their_own_label():
     rep = cy.orbit_representatives(12)
     for h, k in CANONICAL_PAIRS:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclodes import adsets, cyclotomy, dhm, seqkit
@@ -58,8 +58,12 @@ bit_tuples = st.integers(0, 300).flatmap(
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(bit_tuples, st.integers(1, 2000))
+@example((1,), 1)
+@example((0, 1), 1)
+@example((1, 1, 0), 1)
 def test_autocorrelation_matches_the_direct_sum(bits, block):
-    # a small block splits the shifts mid-range and leaves a ragged last block
+    # a small block splits the shifts mid-range and leaves a ragged last
+    # block; at n = 1, 2 and 3 the counted half ends at or next to its mirror
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seqkit, "AC_BLOCK", block)
         values = seqkit.autocorrelation(seqkit.BinarySequence(bits)).values
